@@ -11,6 +11,7 @@ module Stats = Perfbench.Stats
 module Proc = Perfbench.Proc
 open Common
 module Layers = Perfbench.Layers
+module Calib = Perfbench.Calib
 
 type spec = {
   name : string;
@@ -24,8 +25,8 @@ type spec = {
           run of the same pipeline *)
 }
 
-let setup_runs = 3
-let min_runs = 5
+let setup_runs = 9
+let min_runs = 20
 
 let verify spec ~what output =
   match spec.check output with
@@ -39,14 +40,21 @@ let verify spec ~what output =
 let measure spec ~seconds =
   let path = work (spec.name ^ ".sp") in
   Proc.write_file path spec.netlist;
+  (* invocations alternate with fresh passes of the calibration
+     kernel: pass k runs just before invocation k, one more after the
+     last, and invocation k is normalised by the mean of passes k and
+     k + 1 *)
+  let cals = ref [] in
   let run k =
     let out = work (Printf.sprintf "%s.%d.out" spec.name k) in
+    cals := calibrate () :: !cals;
     let r =
       Proc.run ~prog:opm_sim ~args:(path :: spec.args) ~stdout_file:out
         ~stderr_file:(work (Printf.sprintf "%s.%d.err" spec.name k))
     in
     (r, out)
   in
+  ignore (calibrate ());
   (* set-up: untimed warm-up invocations (page cache, first-touch) *)
   let setup = List.init setup_runs run in
   let t_start = Unix.gettimeofday () in
@@ -56,6 +64,8 @@ let measure spec ~seconds =
     else loop (k + 1) (run (setup_runs + k) :: acc)
   in
   let timed = loop 0 [] in
+  cals := calibrate () :: !cals;
+  let cals = Array.of_list (List.rev !cals) in
   (* correctness, outside timing: every invocation, warm-ups included;
      (passed, accuracy in dB or nan) per invocation *)
   let verdict ((r : Proc.run), out) =
@@ -71,6 +81,18 @@ let measure spec ~seconds =
     (Unix.gettimeofday () -. t_check);
   let failed = List.length (List.filter (fun (ok, _) -> not ok) verdicts) in
   let arr f l = Array.of_list (List.map f l) in
+  (* [f] of every invocation in [l], normalised; [l] starts at
+     invocation [first] *)
+  let norm f ~first l =
+    Array.of_list
+      (List.mapi
+         (fun k ((r : Proc.run), _) ->
+           let k = first + k in
+           Calib.normalise
+             ~cal:(0.5 *. (cals.(k) +. cals.(k + 1)))
+             (f r))
+         l)
+  in
   let walls = arr (fun ((r : Proc.run), _) -> r.wall_s) timed in
   let accs =
     Array.of_list
@@ -78,22 +100,21 @@ let measure spec ~seconds =
          (fun (_, a) -> if Float.is_nan a then None else Some a)
          verdicts)
   in
-  note "%s: %d timed runs, %.3f/s, tail p%.0f = %.1f ms; walls %s" spec.name
-    (Array.length walls)
-    (float_of_int (Array.length walls) /. Stats.sum walls)
-    (Stats.tail_percentile (Array.length walls))
-    (1e3 *. Stats.tail walls)
-    (String.concat " "
-       (List.map (fun ((r : Proc.run), _) -> Printf.sprintf "%.3f" r.wall_s) (setup @ timed)));
+  let n = Array.length walls in
+  note "%s: %d timed runs, %.3f/s; wall p10 %.1f p50 %.1f, tail p%.0f %.1f ms; calibration p50 %.1f ms"
+    spec.name n
+    (float_of_int n /. Stats.sum walls)
+    (1e3 *. Stats.quantile 0.1 walls) (1e3 *. Stats.median walls)
+    (Stats.tail_percentile n) (1e3 *. Stats.tail walls) (1e3 *. Stats.median cals);
   {
     correct = failed = 0;
     attempted = List.length verdicts;
     failed;
     metrics =
       [
-        ("setup_s", Stats.median (arr (fun ((r : Proc.run), _) -> r.wall_s) setup), "s");
-        ("p50_ms", 1e3 *. Stats.median walls, "ms");
-        ("cpu_s", Stats.median (arr (fun ((r : Proc.run), _) -> r.cpu_s) timed), "s");
+        ("setup_s", Stats.median (norm (fun r -> r.wall_s) ~first:0 setup), "s");
+        ("wall_ms", 1e3 *. Stats.median (norm (fun r -> r.wall_s) ~first:setup_runs timed), "ms");
+        ("cpu_s", Stats.median (norm (fun r -> r.cpu_s) ~first:setup_runs timed), "s");
         ( "peak_rss_mb",
           Stats.median (arr (fun ((r : Proc.run), _) -> r.maxrss_mb) timed),
           "MB" );
@@ -186,7 +207,7 @@ let grid_tran_t_end = 1e-9
 let grid_tran_steps = 100
 
 let grid_tran ~seed ~nx ~ny =
-  let netlist, probes = Perfbench.Gen.power_grid ~seed ~nx ~ny ~nz:2 in
+  let netlist, probes = Perfbench.Gen.power_grid ~seed ~nx ~ny ~nz:2 () in
   let probe_args = List.concat_map (fun p -> [ "--probe"; p ]) probes in
   (* Table II's own reference: trapezoidal rule at h/20 *)
   let reference =
@@ -244,8 +265,14 @@ let parse_dc text =
              | None -> wrong "bad value: %s" l)
          | _ -> wrong "bad line: %s" l)
 
+(* one grid design for every seed, so that every seed factors the same
+   pencil (see Gen.power_grid); the seed draws the load currents *)
+let grid_dc_design = 1
+
 let grid_dc ~seed ~nx ~ny =
-  let netlist, _ = Perfbench.Gen.power_grid ~seed ~nx ~ny ~nz:2 in
+  let netlist, _ =
+    Perfbench.Gen.power_grid ~design_seed:grid_dc_design ~seed ~nx ~ny ~nz:2 ()
+  in
   (* the same stamped A under a different fill-reducing ordering *)
   let reference =
     lazy

@@ -17,7 +17,18 @@ let wrong ?(accuracy = nan) fmt =
 let work_dir = "_perfbench"
 let opm_sim = "_build/default/bin/opm_sim.exe"
 let opm_serve = "_build/default/bin/opm_serve.exe"
+let calibd = "_build/default/perfbench/calibd.exe"
 let work file = Filename.concat work_dir file
+
+(* seconds, spawn to reap, of one pass of the calibration kernel
+   (calib.ml), on the CPU the harness is pinned to *)
+let calibrate () =
+  let r =
+    Perfbench.Proc.run ~prog:calibd ~args:[] ~stdout_file:(work "calibd.out")
+      ~stderr_file:(work "calibd.err")
+  in
+  if r.exit_code <> 0 then failwith (Printf.sprintf "calibd exited %d" r.exit_code);
+  r.wall_s
 
 let note fmt = Printf.ksprintf (fun s -> prerr_endline ("perfbench: " ^ s)) fmt
 

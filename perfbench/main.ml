@@ -15,9 +15,9 @@ open Common
 let workloads = [ "grid-tran"; "grid-dc"; "frac-long"; "serve-mix" ]
 
 (* sizes: see README.md for why each workload is shaped as it is *)
-let grid_tran_n = 58
-let grid_dc_n = 40
-let frac_steps = 4096
+let grid_tran_n = 40
+let grid_dc_n = 24
+let frac_steps = 2048
 let watchdog_s = 170.0
 
 let git_rev () =
@@ -64,7 +64,23 @@ let result_json (o : outcome) =
              o.metrics) );
     ]
 
+(* End to end, the harness and every program it starts run on one CPU:
+   the one the calibration kernel measures. Left to the scheduler, an
+   opm_sim invocation landed on either of the two CPUs, one of them
+   1.3-1.5x slower at the time, so wall times alternated between two
+   levels that the kernel, on the other CPU, did not see; and the serve
+   daemon sat on the CPU the client did not, its CPU time per request
+   moving 7-12 ms between runs (6.1 ms, run after run, once pinned).
+   The programs then see one CPU (Domain.recommended_domain_count
+   follows the affinity mask), so their domain pools run serially and
+   the end-to-end metrics are single-CPU costs. The traced pass is not
+   pinned: it explains the programs' default configuration, pool
+   included. *)
 let run ~workload ~seed ~seconds ~trace =
+  if not trace then begin
+    let cpu = Perfbench.Proc.pin_here () in
+    note "%s: harness and programs pinned to CPU %d" workload cpu
+  end;
   let secs = float_of_int seconds in
   let cli spec = if trace then Cli.traced spec ~seconds:secs else Cli.measure spec ~seconds:secs in
   match workload with
@@ -103,7 +119,7 @@ let () =
             note "%s is missing; build with perfbench/run.sh" exe;
             exit 2
           end)
-        [ opm_sim; opm_serve ];
+        [ opm_sim; opm_serve; calibd ];
       if not (Sys.file_exists work_dir) then Sys.mkdir work_dir 0o755;
       (* every child is stopped and reaped however the harness exits; a
          hung program ends the run well inside its 180 s limit *)

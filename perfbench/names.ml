@@ -3,7 +3,8 @@
    print a result whose metric set differs. *)
 
 (* every end-to-end metric is reported for every workload: one
-   operation is one opm_sim invocation or one served request. The
+   operation is one opm_sim invocation or one served hot BPF request,
+   and times are normalised by the calibration kernel (calib.ml). The
    latency tail and operations per second are notes on stderr, not
    gated metrics: on a shared 2-vCPU machine both moved by 25-46 %
    between runs of the same code, more than any bound the benchmark may
@@ -11,7 +12,7 @@
 let end_to_end =
   [
     ("setup_s", "s", "lower");
-    ("p50_ms", "ms", "lower");
+    ("wall_ms", "ms", "lower");
     ("cpu_s", "s", "lower");
     ("peak_rss_mb", "MB", "lower");
     ("accuracy_db", "dB", "higher");

@@ -64,15 +64,13 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
 
-(* user + system CPU seconds of a live process, all threads *)
-let proc_cpu_s pid =
-  let s = read_file (Printf.sprintf "/proc/%d/stat" pid) in
-  (* fields after the parenthesised command name; utime and stime are
-     fields 14 and 15 of the whole line *)
-  let rest = String.sub s (String.rindex s ')' + 2) (String.length s - String.rindex s ')' - 2) in
-  let f = Array.of_list (String.split_on_char ' ' rest) in
-  let ticks = float_of_string f.(11) +. float_of_string f.(12) in
-  ticks /. 100.0
+(* user + system CPU seconds of a live process, all threads, at
+   nanosecond resolution *)
+external process_cpu_s : int -> float = "perfbench_process_cpu"
+
+(* pin the calling thread, and every process it spawns from now on, to
+   the CPU it runs on; returns that CPU *)
+external pin_here : unit -> int = "perfbench_pin_here"
 
 (* peak resident set (VmHWM) of a live process, in MiB *)
 let proc_hwm_mb pid =

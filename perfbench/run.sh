@@ -7,5 +7,5 @@ if [ ! -f dune-project ] || [ ! -d lib ] || [ ! -d bin ]; then
   echo "perfbench: run from the root of an opm source tree" >&2
   exit 2
 fi
-dune build --root . --cache=disabled ./bin/opm_sim.exe ./bin/opm_serve.exe ./perfbench/main.exe 1>&2
+dune build --root . --cache=disabled ./bin/opm_sim.exe ./bin/opm_serve.exe ./perfbench/main.exe ./perfbench/calibd.exe 1>&2
 exec ./_build/default/perfbench/main.exe "$@"

@@ -1,5 +1,5 @@
 (* The serve-mix workload: a spawned opm_serve daemon driven closed-loop
-   over keep-alive connections, and the traced in-process replay of its
+   over one keep-alive connection, and the traced in-process replay of its
    request path (Protocol → Mna → fingerprint → Model_cache →
    Compiled_model → ok_body). *)
 
@@ -14,11 +14,10 @@ module Model_cache = Opm_serve.Model_cache
 module Waveform = Opm_signal.Waveform
 open Common
 module Layers = Perfbench.Layers
+module Calib = Perfbench.Calib
 
-(* one closed-loop connection: with two, the daemon's threads serialise
-   on the OCaml runtime lock and latency measured lock hand-off timing *)
-let connections = 1
-let setups = 5
+let setups = 9
+let cal_every = 0.5
 
 (* ---- the daemon -------------------------------------------------- *)
 
@@ -32,7 +31,7 @@ let with_deadline ~what ~timeout_s f =
     | None ->
         if Unix.gettimeofday () -. t0 > timeout_s then
           failwith (what ^ ": timed out");
-        Unix.sleepf 0.005;
+        Unix.sleepf 0.001;
         go ()
   in
   go ()
@@ -170,6 +169,8 @@ let check refs req status body =
 type sample = {
   req : Gen.request;
   latency_s : float;
+  cpu_s : float;  (** the daemon's CPU time while it served the request *)
+  block : int;  (** calibration block, see {!drive} *)
   reply : (int * string, string) result;
 }
 
@@ -192,6 +193,7 @@ let post c body = Httpc.request c ~meth:"POST" ~path:"/solve" ~body ()
 
 (* set-up: spawn, /health answers 200, and the two hot plants compiled *)
 let set_up ~seed k =
+  let cal0 = calibrate () in
   let t0 = Unix.gettimeofday () in
   let d = spawn k in
   wait_health d;
@@ -205,37 +207,56 @@ let set_up ~seed k =
       [ Gen.Bpf; Gen.Spectral ]
   in
   Httpc.close c;
-  (d, Unix.gettimeofday () -. t0, warm)
+  let t = Unix.gettimeofday () -. t0 in
+  (* normalised by the mean of a calibration pass either side *)
+  let cal = 0.5 *. (cal0 +. calibrate ()) in
+  (d, Calib.normalise ~cal t, warm)
 
+(* One closed-loop connection: with two, the daemon's threads serialise
+   on the OCaml runtime lock and latency measured lock hand-off timing.
+   A pass of the calibration kernel runs every [cal_every] seconds and
+   once more at the end; [cals] holds their times, and the requests of
+   block [b] ran between passes [b] and [b + 1]. *)
 let drive d ~seed ~seconds =
   let body_of = hot_bodies ~seed in
-  let results = Array.make connections [] in
-  let deadline = Unix.gettimeofday () +. seconds in
-  let client conn =
-    let sched = Gen.schedule ~seed ~conn ~length:100_000 in
-    let c = Httpc.connect ~port:d.port in
-    let rec go i acc =
-      if Unix.gettimeofday () >= deadline then acc
-      else
-        let req = sched.(i) in
-        let body = body_of req in
-        let t0 = Unix.gettimeofday () in
-        match post c body with
-        | { Httpc.status; body } ->
-            go (i + 1)
-              ({ req; latency_s = Unix.gettimeofday () -. t0; reply = Ok (status, body) }
-              :: acc)
-        | exception e ->
-            { req; latency_s = Unix.gettimeofday () -. t0; reply = Error (Printexc.to_string e) }
-            :: acc
-    in
-    results.(conn) <- List.rev (go 0 []);
-    Httpc.close c
-  in
+  let sched = Gen.schedule ~seed ~conn:0 ~length:100_000 in
+  let c = Httpc.connect ~port:d.port in
   let t0 = Unix.gettimeofday () in
-  let threads = List.init connections (Thread.create client) in
-  List.iter Thread.join threads;
-  (List.concat (Array.to_list results), Unix.gettimeofday () -. t0)
+  let deadline = t0 +. seconds in
+  let cals = ref [ calibrate () ] and block = ref 0 in
+  let next_cal = ref (Unix.gettimeofday () +. cal_every) in
+  let rec go i acc =
+    if Unix.gettimeofday () >= deadline then acc
+    else begin
+      if Unix.gettimeofday () >= !next_cal then begin
+        cals := calibrate () :: !cals;
+        incr block;
+        next_cal := Unix.gettimeofday () +. cal_every
+      end;
+      let req = sched.(i) in
+      let body = body_of req in
+      let cpu0 = Proc.process_cpu_s d.pid in
+      let t1 = Unix.gettimeofday () in
+      let reply =
+        match post c body with
+        | { Httpc.status; body } -> Ok (status, body)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let latency_s = Unix.gettimeofday () -. t1 in
+      let cpu_s = Proc.process_cpu_s d.pid -. cpu0 in
+      let s = { req; latency_s; cpu_s; block = !block; reply } in
+      if Result.is_ok reply then go (i + 1) (s :: acc) else s :: acc
+    end
+  in
+  let samples = List.rev (go 0 []) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Httpc.close c;
+  cals := calibrate () :: !cals;
+  (samples, Array.of_list (List.rev !cals), elapsed)
+
+(* the calibration time of a request: the mean of the passes either
+   side of its block *)
+let cal_of cals s = 0.5 *. (cals.(s.block) +. cals.(s.block + 1))
 
 let verdicts refs samples =
   List.map
@@ -285,9 +306,7 @@ let measure ~seed ~seconds =
     else (d, List.rev ((s, warm, true) :: acc))
   in
   let d, setup = setups_from 0 [] in
-  let cpu0 = Proc.proc_cpu_s d.pid in
-  let samples, elapsed = drive d ~seed ~seconds in
-  let cpu1 = Proc.proc_cpu_s d.pid in
+  let samples, cals, elapsed = drive d ~seed ~seconds in
   let hwm = Proc.proc_hwm_mb d.pid in
   let clean_stop = stop d in
   (* correctness, outside timing *)
@@ -296,23 +315,26 @@ let measure ~seed ~seconds =
   in
   let ok = (clean_stop :: warm_ok) @ verdicts refs samples in
   let failed = List.length (List.filter not ok) in
-  let lat = Array.of_list (List.map (fun s -> s.latency_s) samples) in
-  let n = Array.length lat in
-  note "serve-mix: %d requests, %.1f/s, tail p%.1f = %.2f ms" n
-    (float_of_int n /. elapsed) (Stats.tail_percentile n) (1e3 *. Stats.tail lat);
+  let n = List.length samples in
+  let of_class cls f =
+    Array.of_list (List.filter_map (fun s -> if class_of s.req = cls then Some (f s) else None) samples)
+  in
+  let all = Array.of_list (List.map (fun s -> s.latency_s) samples) in
+  note "serve-mix: %d requests, %.1f/s, tail p%.1f = %.2f ms; calibration p50 %.1f ms" n
+    (float_of_int n /. elapsed) (Stats.tail_percentile n) (1e3 *. Stats.tail all)
+    (1e3 *. Stats.median cals);
   List.iter
     (fun (cls, label) ->
-      let l =
-        Array.of_list
-          (List.filter_map
-             (fun s -> if class_of s.req = cls then Some s.latency_s else None)
-             samples)
-      in
+      let l = of_class cls (fun s -> s.latency_s) in
       if Array.length l > 0 then
         note "serve-mix: %-9s %5d requests, p50 %.2f ms, max %.2f ms" label
           (Array.length l) (1e3 *. Stats.median l)
           (1e3 *. Array.fold_left Float.max 0.0 l))
     [ (Hot_bpf, "hot-bpf"); (Hot_spectral, "spectral"); (Cold, "cold"); (Malformed, "malformed") ];
+  (* the timing metrics are those of the hot BPF class, the workload's
+     main traffic: a quantile of the whole mix would sit on the boundary
+     between classes and move with the schedule's class shares *)
+  let hot f = of_class Hot_bpf (fun s -> Calib.normalise ~cal:(cal_of cals s) (f s)) in
   {
     correct = failed = 0;
     attempted = List.length ok;
@@ -320,8 +342,8 @@ let measure ~seed ~seconds =
     metrics =
       [
         ("setup_s", Stats.median (Array.of_list (List.map (fun (s, _, _) -> s) setup)), "s");
-        ("p50_ms", 1e3 *. Stats.median lat, "ms");
-        ("cpu_s", (cpu1 -. cpu0) /. float_of_int n, "s");
+        ("wall_ms", 1e3 *. Stats.median (hot (fun s -> s.latency_s)), "ms");
+        ("cpu_s", Stats.median (hot (fun s -> s.cpu_s)), "s");
         ("peak_rss_mb", hwm, "MB");
         ("accuracy_db", accuracy refs, "dB");
       ];
@@ -393,7 +415,7 @@ let server_side =
 let traced ~seed ~seconds =
   (* end to end under the same load, for the client-side latency *)
   let d, _, warm = set_up ~seed 0 in
-  let samples, _ = drive d ~seed ~seconds:(seconds /. 2.0) in
+  let samples, _, _ = drive d ~seed ~seconds:(seconds /. 2.0) in
   let cache_stats =
     let c = Httpc.connect ~port:d.port in
     let r = Httpc.request c ~meth:"GET" ~path:"/metrics" () in

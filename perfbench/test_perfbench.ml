@@ -14,9 +14,15 @@ let check name cond =
 let raises f = match f () with _ -> false | exception _ -> true
 
 let test_generation () =
-  let grid seed = Gen.power_grid ~seed ~nx:6 ~ny:5 ~nz:2 in
+  let grid seed = Gen.power_grid ~seed ~nx:6 ~ny:5 ~nz:2 () in
   check "grid: same seed, same bytes" (grid 7 = grid 7);
   check "grid: seeds differ" (fst (grid 7) <> fst (grid 8));
+  let fixed seed = fst (Gen.power_grid ~design_seed:1 ~seed ~nx:6 ~ny:5 ~nz:2 ()) in
+  check "fixed design: same seed, same bytes" (fixed 7 = fixed 7);
+  check "fixed design: seeds differ" (fixed 7 <> fixed 8);
+  (* with one design, only the current sources' lines differ *)
+  let lines s = List.filter (fun l -> l <> "" && l.[0] <> 'I') (String.split_on_char '\n' s) in
+  check "fixed design: same elements" (lines (fixed 7) = lines (fixed 8));
   check "frac ladder: same seed, same bytes" (Gen.frac_ladder ~seed:3 = Gen.frac_ladder ~seed:3);
   check "frac ladder: seeds differ" (Gen.frac_ladder ~seed:3 <> Gen.frac_ladder ~seed:4);
   let body seed req = Gen.body ~seed req in
@@ -49,6 +55,14 @@ let test_stats () =
   check "median odd" (Stats.median [| 3.0; 1.0; 2.0 |] = 2.0);
   check "median even" (Stats.median [| 4.0; 1.0; 3.0; 2.0 |] = 2.5);
   check "median empty raises" (raises (fun () -> Stats.median [||]));
+  let xs = [| 5.0; 1.0; 4.0; 2.0; 3.0 |] in
+  check "quantile 0 is the min" (Stats.quantile 0.0 xs = 1.0);
+  check "quantile 1 is the max" (Stats.quantile 1.0 xs = 5.0);
+  check "quantile 0.5 is the median" (Stats.quantile 0.5 xs = Stats.median xs);
+  check "quantile interpolates" (Float.abs (Stats.quantile 0.1 xs -. 1.4) < 1e-12);
+  check "quantile of one sample" (Stats.quantile 0.1 [| 7.0 |] = 7.0);
+  check "quantile empty raises" (raises (fun () -> Stats.quantile 0.1 [||]));
+  check "quantile outside [0, 1] raises" (raises (fun () -> Stats.quantile 1.5 xs));
   let seq n = Array.init n (fun i -> float_of_int (n - i)) in
   (* up to 20 samples: the maximum, never a value below the median *)
   check "tail of 5 is the max" (Stats.tail (seq 5) = 5.0);
