@@ -405,7 +405,7 @@ let ablation_basis () =
   (* BPF: the triangular structure admits the fast column solver *)
   let d_bpf = Block_pulse.differential_matrix grid in
   let t_bpf, x_bpf =
-    timed (fun () -> Engine.solve_dense ~terms:[ (e, d_bpf) ] ~a ~bu ())
+    timed (fun () -> Engine.solve_dense ~terms:[ (e, Engine.Dense d_bpf) ] ~a ~bu ())
   in
   (* Walsh: the similarity-transported D is dense, so only the full
      Kronecker solve applies — same answer, triangularity lost *)
@@ -522,7 +522,7 @@ let ablation_kron () =
       let st = Random.State.make [| 3 |] in
       let bu = Mat.init n m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
       let t_col, x1 =
-        timed (fun () -> Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu ())
+        timed (fun () -> Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu ())
       in
       let t_kron, x2 =
         timed ~runs:1 (fun () ->

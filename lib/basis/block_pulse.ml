@@ -50,27 +50,38 @@ let integer_power grid k =
   if k = 0 then Mat.eye (Grid.size grid)
   else Mat.pow (differential_matrix grid) k
 
-let uniform_fractional ~t_end ~m alpha =
-  let h = t_end /. float_of_int m in
-  let rho = Series.one_minus_over_one_plus_pow alpha m in
+let fractional_differential_row ?rho grid alpha =
+  if alpha < 0.0 then
+    invalid_arg "Block_pulse.fractional_differential_row: alpha < 0";
+  if not (Grid.is_uniform ~tol:1e-12 grid) then
+    invalid_arg "Block_pulse.fractional_differential_row: non-uniform grid";
+  let m = Grid.size grid in
+  let h = Grid.t_end grid /. float_of_int m in
+  let rho =
+    match rho with
+    | None -> Series.one_minus_over_one_plus_pow alpha m
+    | Some r when Array.length r = m -> r
+    | Some _ ->
+        invalid_arg "Block_pulse.fractional_differential_row: rho length <> m"
+  in
   (* ρ_{α,m}(Q_m) for the shift matrix Q_m is the upper-triangular
      Toeplitz matrix with ρ's coefficient c_{j−i} at (i, j) *)
   let scale = (2.0 /. h) ** alpha in
-  Mat.init m m (fun i j -> if j >= i then scale *. rho.(j - i) else 0.0)
+  Array.map (fun c -> scale *. c) rho
 
 let fractional_differential_matrix grid alpha =
   if alpha < 0.0 then
     invalid_arg "Block_pulse.fractional_differential_matrix: alpha < 0";
-  match grid with
-  (* the series truncation is exact for integer α too (the binomial
-     series terminate), and builds the Toeplitz result in O(m²) instead
-     of O(m³) matrix powers *)
-  | Grid.Uniform { t_end; m } -> uniform_fractional ~t_end ~m alpha
-  | Grid.Adaptive _ when Grid.is_uniform ~tol:1e-12 grid ->
-      uniform_fractional ~t_end:(Grid.t_end grid) ~m:(Grid.size grid) alpha
-  | Grid.Adaptive _ ->
-      if Float.is_integer alpha then integer_power grid (int_of_float alpha)
-      else Tri.fractional_power (differential_matrix grid) alpha
+  if Grid.is_uniform ~tol:1e-12 grid then begin
+    (* the series truncation is exact for integer α too (the binomial
+       series terminate), and builds the Toeplitz result in O(m²)
+       instead of O(m³) matrix powers *)
+    let row = fractional_differential_row grid alpha in
+    let m = Array.length row in
+    Mat.init m m (fun i j -> if j >= i then row.(j - i) else 0.0)
+  end
+  else if Float.is_integer alpha then integer_power grid (int_of_float alpha)
+  else Tri.fractional_power (differential_matrix grid) alpha
 
 let fractional_integral_matrix grid alpha =
   if alpha < 0.0 then

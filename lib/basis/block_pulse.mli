@@ -32,12 +32,25 @@ val differential_matrix : Grid.t -> Mat.t
     [D_{ii} = 2/h_i], [D_{ij} = 4·(−1)^{j−i}/h_j] for [j > i]
     (uniform: eq. (7); adaptive: eq. (25)'s base matrix). *)
 
+val fractional_differential_row : ?rho:Vec.t -> Grid.t -> float -> Vec.t
+(** First row of the uniform-grid [D^α] ([α >= 0]):
+    [(2/h)^α · ρ_{α,m}], with [ρ_{α,m}] the first [m] coefficients of
+    [((1−q)/(1+q))^α] (paper eq. 21–23). [D^α] is upper-triangular
+    Toeplitz, [d_{j,i} = row.(i − j)] for [i >= j], so these [m]
+    numbers carry all of it in O(m) storage. [?rho] supplies a
+    precomputed ρ series of length [m] (a caller that caches it skips
+    the O(m²) Cauchy product). Raises [Invalid_argument] on a
+    non-uniform grid (relative step tolerance 1e-12) or a [?rho] of the
+    wrong length. *)
+
 val fractional_differential_matrix : Grid.t -> float -> Mat.t
 (** [D^α] for [α >= 0].
 
     - Uniform grid: [(2/h)^α · ρ_{α,m}(Q_m)] by the truncated series of
       [((1−q)/(1+q))^α] (paper eq. 21–23) — exact in the nilpotent
-      algebra, works for any [α] including repeated diagonal.
+      algebra, works for any [α] including repeated diagonal. This is
+      {!fractional_differential_row} densified, so the two agree bit
+      for bit.
     - Adaptive grid with pairwise distinct steps: Parlett recurrence on
       the triangular [D̃] (the role of the paper's eq. 25
       eigendecomposition).

@@ -9,6 +9,7 @@ type basis = [ `Bpf | `Spectral ]
 
 let m_queries = Metrics.counter "compiled.queries"
 let m_factor_reuse = Metrics.counter "compiled.factor_reuse"
+let g_opmat_bytes = Metrics.gauge "compiled.opmat_bytes"
 
 let input_coefficients ~grid sources =
   let m = Grid.size grid in
@@ -54,13 +55,11 @@ let bu_matrix ?deriv ~grid (sys : Multi_term.t) sources =
 
 (* On exactly-uniform grids every operational matrix is upper-triangular
    Toeplitz, so its first row drives the engine's FFT history fast path.
-   Extracting the row from the built matrix (rather than recomputing the
-   ρ series) keeps the two representations consistent by construction.
    Near-uniform adaptive grids are deliberately excluded: the acceptance
    contract keeps every [Grid.Adaptive] solve bit-identical to the naive
    engine.
 
-   Orders above 1 are excluded too, for accuracy rather than structure:
+   Orders above 1 are excluded, for accuracy rather than structure:
    |ρ_α(l)| grows like l^{α−1} with alternating sign for α > 1, and the
    naive j-ascending scan sums those terms in an order whose partial
    sums cancel pairwise and stay small. Blockwise FFT reassociation
@@ -71,13 +70,6 @@ let bu_matrix ?deriv ~grid (sys : Multi_term.t) sources =
 let fft_safe_terms terms =
   List.for_all (fun { Multi_term.alpha; _ } -> alpha <= 1.0) terms
 
-let uniform_toeplitz ~grid ~terms dmats =
-  match grid with
-  | Grid.Uniform _ when Engine.fft_rhs_enabled () && fft_safe_terms terms ->
-      let m = Grid.size grid in
-      Some (List.map (fun (_, d) -> Array.init m (Mat.get d 0)) dmats)
-  | _ -> None
-
 let shift_by_x0 x x0 =
   let n, m = Mat.dims x in
   Mat.init n m (fun r i -> Mat.get x r i +. x0.(r))
@@ -85,17 +77,16 @@ let shift_by_x0 x x0 =
 (* ------------------------------------------------------------------ *)
 
 (* Everything plant-dependent, computed once at [compile]: the
-   operational matrices, the Toeplitz first rows, the FFT convolver
-   plan state, and the factored (pinned) pencil. Queries touch only the
-   input-dependent RHS. *)
+   operational matrices (Toeplitz first rows on uniform grids), the FFT
+   convolver plan state, and the factored (pinned) pencil. Queries
+   touch only the input-dependent RHS. *)
 type plan =
   | Spectral of Spectral_solver.t
   | Windowed of { w : int }
   | Linear of { steps : float array; e_s : Csr.t; e_d : Mat.t Lazy.t }
   | General of {
-      terms_s : (Csr.t * Mat.t) list;
-      terms_d : (Mat.t * Mat.t) list Lazy.t;
-      toeplitz : float array list option;
+      terms_s : (Csr.t * Engine.opmat) list;
+      terms_d : (Mat.t * Engine.opmat) list Lazy.t;
       key_salt : float list;
       conv : Fft.Blocked_conv.t option;
     }
@@ -187,6 +178,16 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
         queries = 0;
       }
   | `Bpf ->
+  (* Mna.stamp always emits the α = 1 term, even for a netlist of CPEs
+     only; an empty E_k adds nothing to any pencil or history, so it is
+     dropped before it costs an operational matrix, a ρ series and an
+     FFT kernel. A system with no non-empty term keeps its plan. *)
+  let live = List.filter (fun t -> Csr.nnz t.Multi_term.coeff > 0) in
+  let sys =
+    match live sys.Multi_term.terms with
+    | [] -> sys
+    | terms -> { sys with Multi_term.terms }
+  in
   let backend = pick_backend backend n in
   let uniform =
     match grid with Grid.Uniform _ -> true | Grid.Adaptive _ -> false
@@ -258,6 +259,7 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
                          (fun { Multi_term.coeff; _ } -> Csr.to_dense coeff)
                          terms)
                     ~a:(Lazy.force a_dense)));
+        Metrics.set_gauge g_opmat_bytes 0.0;
         Windowed { w }
     | None, [ { Multi_term.coeff = e; alpha = 1.0 } ], 0 ->
         let steps = Grid.steps grid in
@@ -270,16 +272,30 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
           | `Dense ->
               Engine.prefactor_linear_dense fc_d ~h:steps.(0)
                 ~e:(Lazy.force e_d) ~a:(Lazy.force a_dense));
+        Metrics.set_gauge g_opmat_bytes 0.0;
         Linear { steps; e_s = e; e_d }
     | None, terms, _ ->
+        (* a uniform grid keeps each D^α as its Toeplitz first row, O(m)
+           instead of the dense O(m²) an adaptive grid needs *)
         let dmats =
           Trace.with_span "opm.operational_matrices" @@ fun () ->
           List.map
             (fun { Multi_term.coeff; alpha } ->
-              (coeff, Block_pulse.fractional_differential_matrix grid alpha))
+              ( coeff,
+                if uniform then
+                  Engine.Toeplitz
+                    (Block_pulse.fractional_differential_row grid alpha)
+                else
+                  Engine.Dense
+                    (Block_pulse.fractional_differential_matrix grid alpha) ))
             terms
         in
-        let toeplitz = uniform_toeplitz ~grid ~terms dmats in
+        let bytes = function
+          | Engine.Toeplitz r -> 8 * Array.length r
+          | Engine.Dense d -> 8 * fst (Mat.dims d) * snd (Mat.dims d)
+        in
+        Metrics.set_gauge g_opmat_bytes
+          (float_of_int (List.fold_left (fun s (_, d) -> s + bytes d) 0 dmats));
         let key_salt =
           if uniform then
             List.map (fun { Multi_term.alpha; _ } -> alpha) terms @ [ h ]
@@ -289,7 +305,7 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
           lazy (List.map (fun (e, d) -> (Csr.to_dense e, d)) dmats)
         in
         if uniform then
-          (let diag = List.map (fun (_, d) -> Mat.get d 0 0) dmats in
+          (let diag = List.map (fun (_, d) -> Engine.opmat_get d 0 0) dmats in
            match backend with
            | `Sparse ->
                Engine.prefactor_sparse ?health ~slu_symbolic:slu_sym fc_s
@@ -298,15 +314,13 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
                Engine.prefactor_dense fc_d ~key_salt ~diag
                  ~es:(List.map fst (Lazy.force terms_d))
                  ~a:(Lazy.force a_dense));
+        (* built here exactly when the engine's FFT rule would engage
+           it, so [conv <> None] is the query's [fft_history] *)
         let conv =
-          match toeplitz with
-          | Some rows when m > 1 && m >= Engine.fft_rhs_min_m ->
-              Some
-                (Fft.Blocked_conv.create ~kernels:(Array.of_list rows) ~rows:n
-                   ~m ())
-          | _ -> None
+          if fft_safe_terms terms then Engine.toeplitz_convolver ~n dmats
+          else None
         in
-        General { terms_s = dmats; terms_d; toeplitz; key_salt; conv }
+        General { terms_s = dmats; terms_d; key_salt; conv }
   in
   {
     sys;
@@ -373,16 +387,17 @@ let solve_bu ?health ?budget ?checkpoint ?checkpoint_every ?resume_from t bu =
             Engine.solve_linear_dense ?health ~fcache:t.fc_d
               ~pin_factors:t.uniform ?budget ~steps ~e:(Lazy.force e_d)
               ~a:(Lazy.force t.a_dense) ~bu ())
-    | General { terms_s; terms_d; toeplitz; key_salt; conv } -> (
+    | General { terms_s; terms_d; key_salt; conv } -> (
+        let fft_history = Option.is_some conv in
         match t.backend with
         | `Sparse ->
             Engine.solve_sparse ?health ~fcache:t.fc_s ~key_salt
-              ~pin_factors:t.uniform ?toeplitz ?conv_reuse:conv ?budget
+              ~pin_factors:t.uniform ~fft_history ?conv_reuse:conv ?budget
               ~slu_symbolic:t.slu_sym ~terms:terms_s ~a:t.sys.Multi_term.a
               ~bu ()
         | `Dense ->
             Engine.solve_dense ?health ~fcache:t.fc_d ~key_salt
-              ~pin_factors:t.uniform ?toeplitz ?conv_reuse:conv ?budget
+              ~pin_factors:t.uniform ~fft_history ?conv_reuse:conv ?budget
               ~terms:(Lazy.force terms_d) ~a:(Lazy.force t.a_dense) ~bu ())
   in
   let hits1 =

@@ -12,12 +12,15 @@ open Opm_signal
     work at exactly that line:
 
     - {b plant-dependent}, done once in {!compile}: BPF expansion
-      scaffolding, the operational matrices [D^{α_k}] (O(m²) each), the
-      ρ series, the Toeplitz first rows, the
-      {!Opm_numkit.Fft.Blocked_conv} plan state (kernel spectra), and
-      the factored pencil — inserted {e pinned} into an
-      {!Engine.Factor_cache} so the bounded cache can never evict it
-      mid-sweep;
+      scaffolding, the operational matrices [D^{α_k}] — on a uniform
+      grid each kept as its Toeplitz first row ({!Engine.Toeplitz},
+      O(m) storage from an O(m²) ρ series), on an adaptive grid dense
+      (O(m²) storage) — the {!Opm_numkit.Fft.Blocked_conv} plan state
+      (kernel spectra), and the factored pencil — inserted {e pinned}
+      into an {!Engine.Factor_cache} so the bounded cache can never
+      evict it mid-sweep. Terms with an empty coefficient matrix (the
+      α = 1 term [Mna.stamp] emits for a CPE-only netlist) are dropped
+      first;
     - {b input-dependent}, per {!solve} query: project the sources,
       form [B·U·D^r], and run the engine's column recurrence against
       the cached factors — zero factorisations, O(n·m·log m) per
@@ -39,8 +42,13 @@ open Opm_signal
 
     Observability: [compiled.queries] counts queries,
     [compiled.factor_reuse] counts pencil lookups served from the
-    model's caches, and each query runs in a ["compiled_solve"] trace
-    span ([compile] in a ["compiled.compile"] span). *)
+    model's caches, the gauge [compiled.opmat_bytes] holds the bytes of
+    operational-matrix storage the last block-pulse compile allocated
+    ([8·m] per term on a uniform grid, [8·m²] on an adaptive one, [0]
+    for the order-1 and windowed plans, which build none), and each
+    query runs in a ["compiled_solve"] trace span ([compile] in a
+    ["compiled.compile"] span, the operator build in
+    ["opm.operational_matrices"]). *)
 
 type backend = [ `Auto | `Dense | `Sparse ]
 
@@ -180,11 +188,5 @@ val bu_matrix :
 val pick_backend : backend -> int -> [ `Dense | `Sparse ]
 
 val fft_safe_terms : Multi_term.term list -> bool
-
-val uniform_toeplitz :
-  grid:Grid.t ->
-  terms:Multi_term.term list ->
-  ('a * Mat.t) list ->
-  float array list option
 
 val shift_by_x0 : Mat.t -> Vec.t -> Mat.t

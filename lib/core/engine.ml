@@ -41,6 +41,18 @@ let fft_rhs_enabled () =
 
 let set_fft_rhs_enabled b = fft_rhs_flag := Some b
 
+(* An operational matrix as the engine reads it: dense, or upper-
+   triangular Toeplitz stored as its first row (uniform grids). Only
+   entries on or above the diagonal (j <= i) are ever read. *)
+type opmat = Dense of Mat.t | Toeplitz of Vec.t
+
+let opmat_dims = function
+  | Dense d -> Mat.dims d
+  | Toeplitz r -> (Array.length r, Array.length r)
+
+let opmat_get op j i =
+  match op with Dense d -> Mat.get d j i | Toeplitz r -> r.(i - j)
+
 let check_terms_dims ~n ~m terms a_rows a_cols =
   if a_rows <> n || a_cols <> n then
     invalid_arg "Engine: A dimension mismatch with BU";
@@ -124,7 +136,7 @@ let budget_factor ?(bytes = 0) budget =
   | None -> ()
   | Some b -> Budget.charge_factor ~bytes b ~site:"engine.factor"
 
-let diag_key terms i = List.map (fun (_, d) -> Mat.get d i i) terms
+let diag_key terms i = List.map (fun (_, d) -> opmat_get d i i) terms
 
 let same_key a b = List.for_all2 (fun (x : float) y -> x = y) a b
 
@@ -247,8 +259,12 @@ let block_lookup ?(pin = false) ~fcache ~key_salt ~build () =
    the history sums come from the blocked FFT convolver (the solved
    columns must have been pushed into it); otherwise the D_k columns are
    scanned naively — that branch is bit-identical to the historical
-   engine. *)
-let column_rhs ?conv ?(sign = -1.0) ~n ~bu ~terms ~apply_e ~cols i =
+   engine. The fft-block fault site poisons the whole history of term
+   [live], the first term with a non-empty E_k: an empty E_k, or a
+   single entry in a state column E_k never reads, would multiply the
+   NaN away on the sparse backend. *)
+let column_rhs ?conv ?(sign = -1.0) ?(live = 0) ~n ~bu ~terms ~apply_e ~cols
+    i =
   let rhs = Array.init n (fun r -> Mat.get bu r i) in
   (match conv with
   | Some cv ->
@@ -259,8 +275,7 @@ let column_rhs ?conv ?(sign = -1.0) ~n ~bu ~terms ~apply_e ~cols i =
             let hist = Fft.Blocked_conv.history cv ~term:k i in
             (* [history] returns a fresh vector, so poisoning it never
                touches the convolver's internal state *)
-            if poison && k = 0 && Array.length hist > 0 then
-              hist.(0) <- Float.nan;
+            if poison && k = live then Array.fill hist 0 n Float.nan;
             let ev = apply_e k hist in
             Vec.axpy sign ev rhs)
           terms
@@ -271,7 +286,7 @@ let column_rhs ?conv ?(sign = -1.0) ~n ~bu ~terms ~apply_e ~cols i =
           let acc = Array.make n 0.0 in
           let any = ref false in
           for j = 0 to i - 1 do
-            let w = Mat.get dmat j i in
+            let w = opmat_get dmat j i in
             if w <> 0.0 then begin
               any := true;
               Vec.axpy w cols.(j) acc
@@ -292,10 +307,11 @@ let column_rhs ?conv ?(sign = -1.0) ~n ~bu ~terms ~apply_e ~cols i =
    to the historical engine. *)
 let fft_rhs_min_m = 256
 
-(* [toeplitz], when given, carries the first row of each (uniform-grid,
-   upper-triangular Toeplitz) D_k: entry [l] is the lag-l weight
-   d^{(k)}_{j,j+l}. A single-column horizon has no history, so the
-   convolver is skipped there.
+(* The FFT-path rule: the caller vouches for it ([fft_history]), every
+   operand is Toeplitz — its first row, entry [l] the lag-l weight
+   d^{(k)}_{j,j+l}, is the convolver kernel — and the horizon is long
+   enough. A single-column horizon has no history, so the convolver is
+   skipped there.
 
    The crossover gate compares against [history_len] — the {e effective
    global} history length — rather than the local column count [m]: a
@@ -308,31 +324,33 @@ let fft_rhs_min_m = 256
    [conv_reuse], when its shape matches, is reset and reused instead of
    allocating a fresh convolver — a compiled model carries the
    twiddle/plan state across queries this way. *)
-let make_conv ?conv_reuse ?history_len ~toeplitz ~nterms ~n ~m () =
-  match toeplitz with
-  | None -> None
-  | Some rows ->
-      if List.length rows <> nterms then
-        invalid_arg "Engine: toeplitz term-count mismatch";
-      List.iter
-        (fun r ->
-          if Array.length r <> m then
-            invalid_arg "Engine: toeplitz row-length mismatch")
-        rows;
-      let history_len = max m (Option.value history_len ~default:m) in
-      if m > 1 && history_len >= fft_rhs_min_m && fft_rhs_enabled () then
-        match conv_reuse with
-        | Some cv
-          when Fft.Blocked_conv.rows cv = n
-               && Fft.Blocked_conv.horizon cv = m
-               && Fft.Blocked_conv.nterms cv = nterms ->
-            Fft.Blocked_conv.reset cv;
-            Some cv
-        | Some _ | None ->
-            Some
-              (Fft.Blocked_conv.create ~kernels:(Array.of_list rows) ~rows:n
-                 ~m ())
-      else None
+let make_conv ?conv_reuse ?history_len ~fft_history ~terms ~n ~m () =
+  let rows =
+    List.filter_map (function _, Toeplitz r -> Some r | _, Dense _ -> None) terms
+  in
+  let nterms = List.length terms in
+  let history_len = max m (Option.value history_len ~default:m) in
+  if
+    fft_history && nterms > 0 && List.length rows = nterms && m > 1
+    && history_len >= fft_rhs_min_m && fft_rhs_enabled ()
+  then
+    match conv_reuse with
+    | Some cv
+      when Fft.Blocked_conv.rows cv = n
+           && Fft.Blocked_conv.horizon cv = m
+           && Fft.Blocked_conv.nterms cv = nterms ->
+        Fft.Blocked_conv.reset cv;
+        Some cv
+    | Some _ | None ->
+        Some
+          (Fft.Blocked_conv.create ~kernels:(Array.of_list rows) ~rows:n ~m ())
+  else None
+
+let toeplitz_convolver ~n terms =
+  match terms with
+  | (_, Toeplitz r) :: _ ->
+      make_conv ~fft_history:true ~terms ~n ~m:(Array.length r) ()
+  | _ -> None
 
 (* per-solve convolver bookkeeping for the obs layer *)
 let record_conv_metrics ~conv ~m =
@@ -558,19 +576,19 @@ let linear_pencil_dense ~h ~e ~a = Mat.sub (Mat.scale (2.0 /. h) e) a
 let linear_pencil_sparse ~h ~e ~a = Csr.add ~alpha:(2.0 /. h) ~beta:(-1.0) e a
 
 let solve_dense ?health ?(cond_limit = Health.default_cond_limit) ?fcache
-    ?(key_salt = []) ?(pin_factors = false) ?toeplitz ?history_len ?conv_reuse
-    ?budget ~terms ~a ~bu () =
+    ?(key_salt = []) ?(pin_factors = false) ?(fft_history = false) ?history_len
+    ?conv_reuse ?budget ~terms ~a ~bu () =
   Trace.with_span "engine.solve_dense" @@ fun () ->
   let n, m = Mat.dims bu in
   check_terms_dims ~n ~m
-    (List.map (fun (e, d) -> (Mat.dims e, Mat.dims d)) terms)
+    (List.map (fun (e, d) -> (Mat.dims e, opmat_dims d)) terms)
     (fst (Mat.dims a)) (snd (Mat.dims a));
   let term_mats = Array.of_list (List.map fst terms) in
   let apply_e k v = Mat.mul_vec term_mats.(k) v in
   let conv =
-    make_conv ?conv_reuse ?history_len ~toeplitz ~nterms:(List.length terms)
-      ~n ~m ()
+    make_conv ?conv_reuse ?history_len ~fft_history ~terms ~n ~m ()
   in
+  let live = List.find_index (fun (e, _) -> Mat.norm_inf e > 0.0) terms in
   let cols = Array.make m [||] in
   let es = List.map fst terms in
   let build ~column key =
@@ -583,7 +601,7 @@ let solve_dense ?health ?(cond_limit = Health.default_cond_limit) ?fcache
   let t_lap = ref (Metrics.lap_start ()) in
   for i = 0 to m - 1 do
     budget_column budget;
-    let rhs = column_rhs ?conv ~n ~bu ~terms ~apply_e ~cols i in
+    let rhs = column_rhs ?conv ?live ~n ~bu ~terms ~apply_e ~cols i in
     let blk = lookup ~column:i (diag_key terms i) in
     cols.(i) <- solve_col_dense ?health ~cond_limit ~column:i blk rhs;
     Option.iter (fun cv -> Fft.Blocked_conv.push cv cols.(i)) conv;
@@ -596,19 +614,19 @@ let solve_dense ?health ?(cond_limit = Health.default_cond_limit) ?fcache
   x
 
 let solve_sparse ?health ?(cond_limit = Health.default_cond_limit) ?fcache
-    ?(key_salt = []) ?(pin_factors = false) ?toeplitz ?history_len ?conv_reuse
-    ?budget ?slu_symbolic ~terms ~a ~bu () =
+    ?(key_salt = []) ?(pin_factors = false) ?(fft_history = false) ?history_len
+    ?conv_reuse ?budget ?slu_symbolic ~terms ~a ~bu () =
   Trace.with_span "engine.solve_sparse" @@ fun () ->
   let n, m = Mat.dims bu in
   check_terms_dims ~n ~m
-    (List.map (fun (e, d) -> (Csr.dims e, Mat.dims d)) terms)
+    (List.map (fun (e, d) -> (Csr.dims e, opmat_dims d)) terms)
     (fst (Csr.dims a)) (snd (Csr.dims a));
   let term_mats = Array.of_list (List.map fst terms) in
   let apply_e k v = Csr.mul_vec term_mats.(k) v in
   let conv =
-    make_conv ?conv_reuse ?history_len ~toeplitz ~nterms:(List.length terms)
-      ~n ~m ()
+    make_conv ?conv_reuse ?history_len ~fft_history ~terms ~n ~m ()
   in
+  let live = List.find_index (fun (e, _) -> Csr.nnz e > 0) terms in
   let cols = Array.make m [||] in
   let es = List.map fst terms in
   (* all pencils Σ_k d_kii·E_k − A of one call share one union sparsity
@@ -628,7 +646,7 @@ let solve_sparse ?health ?(cond_limit = Health.default_cond_limit) ?fcache
   let t_lap = ref (Metrics.lap_start ()) in
   for i = 0 to m - 1 do
     budget_column budget;
-    let rhs = column_rhs ?conv ~n ~bu ~terms ~apply_e ~cols i in
+    let rhs = column_rhs ?conv ?live ~n ~bu ~terms ~apply_e ~cols i in
     let blk = lookup ~column:i (diag_key terms i) in
     cols.(i) <- solve_col_sparse ?health ~cond_limit ~column:i blk rhs;
     Option.iter (fun cv -> Fft.Blocked_conv.push cv cols.(i)) conv;
@@ -742,17 +760,18 @@ let integral_rhs ~one ~e_x0 ~bu_int =
   Mat.init n m (fun r i -> Mat.get bu_int r i +. (e_x0.(r) *. one.(i)))
 
 let check_integral_h ~m h_mat =
-  let hr, hc = Mat.dims h_mat in
-  if hr <> m || hc <> m then
+  if opmat_dims h_mat <> (m, m) then
     invalid_arg "Engine.solve_integral_dense: H dimension mismatch";
-  if not (Mat.is_upper_triangular ~tol:0.0 h_mat) then
-    invalid_arg
-      "Engine.solve_integral_dense: H must be upper triangular (use \
-       solve_integral_kron for general bases)"
+  match h_mat with
+  | Dense h when not (Mat.is_upper_triangular ~tol:0.0 h) ->
+      invalid_arg
+        "Engine.solve_integral_dense: H must be upper triangular (use \
+         solve_integral_kron for general bases)"
+  | Dense _ | Toeplitz _ -> ()
 
 let solve_integral_dense ?health ?(cond_limit = Health.default_cond_limit)
-    ?fcache ?(key_salt = []) ?(pin_factors = false) ?toeplitz ?history_len
-    ?budget ~h_mat ~one ~e ~a ~bu_int ~x0 () =
+    ?fcache ?(key_salt = []) ?(pin_factors = false) ?history_len ?budget
+    ~h_mat ~one ~e ~a ~bu_int ~x0 () =
   Trace.with_span "engine.solve_integral_dense" @@ fun () ->
   let n, m = Mat.dims bu_int in
   check_integral_h ~m h_mat;
@@ -760,11 +779,11 @@ let solve_integral_dense ?health ?(cond_limit = Health.default_cond_limit)
   let cols = Array.make m [||] in
   (* the integral form shares the history machinery of the differential
      solvers: rhs_i = bu_i + A Σ_{j<i} H_{ji} x_j, i.e. a single
-     [column_rhs] term with E := A and sign +1; on uniform grids H is
-     Toeplitz too, so the same FFT convolver applies *)
+     [column_rhs] term with E := A and sign +1; H's weights do not
+     grow, so a Toeplitz H always may take the FFT path *)
   let terms = [ (a, h_mat) ] in
   let apply_e _ v = Mat.mul_vec a v in
-  let conv = make_conv ?history_len ~toeplitz ~nterms:1 ~n ~m () in
+  let conv = make_conv ?history_len ~fft_history:true ~terms ~n ~m () in
   let build ~column key =
     let hii = List.hd key in
     budget_factor ~bytes:(n * n * 8) budget;
@@ -778,7 +797,7 @@ let solve_integral_dense ?health ?(cond_limit = Health.default_cond_limit)
     let rhs =
       column_rhs ?conv ~sign:1.0 ~n ~bu:rhs_base ~terms ~apply_e ~cols i
     in
-    let blk = lookup ~column:i [ Mat.get h_mat i i ] in
+    let blk = lookup ~column:i [ opmat_get h_mat i i ] in
     cols.(i) <- solve_col_dense ?health ~cond_limit ~column:i blk rhs;
     Option.iter (fun cv -> Fft.Blocked_conv.push cv cols.(i)) conv
   done;
@@ -788,8 +807,8 @@ let solve_integral_dense ?health ?(cond_limit = Health.default_cond_limit)
   x
 
 let solve_integral_sparse ?health ?(cond_limit = Health.default_cond_limit)
-    ?fcache ?(key_salt = []) ?(pin_factors = false) ?toeplitz ?history_len
-    ?budget ?slu_symbolic ~h_mat ~one ~e ~a ~bu_int ~x0 () =
+    ?fcache ?(key_salt = []) ?(pin_factors = false) ?history_len ?budget
+    ?slu_symbolic ~h_mat ~one ~e ~a ~bu_int ~x0 () =
   Trace.with_span "engine.solve_integral_sparse" @@ fun () ->
   let n, m = Mat.dims bu_int in
   check_integral_h ~m h_mat;
@@ -797,7 +816,7 @@ let solve_integral_sparse ?health ?(cond_limit = Health.default_cond_limit)
   let cols = Array.make m [||] in
   let terms = [ ((), h_mat) ] in
   let apply_e _ v = Csr.mul_vec a v in
-  let conv = make_conv ?history_len ~toeplitz ~nterms:1 ~n ~m () in
+  let conv = make_conv ?history_len ~fft_history:true ~terms ~n ~m () in
   let sym =
     match slu_symbolic with Some r -> r | None -> ref None
   in
@@ -815,7 +834,7 @@ let solve_integral_sparse ?health ?(cond_limit = Health.default_cond_limit)
     let rhs =
       column_rhs ?conv ~sign:1.0 ~n ~bu:rhs_base ~terms ~apply_e ~cols i
     in
-    let blk = lookup ~column:i [ Mat.get h_mat i i ] in
+    let blk = lookup ~column:i [ opmat_get h_mat i i ] in
     cols.(i) <- solve_col_sparse ?health ~cond_limit ~column:i blk rhs;
     Option.iter (fun cv -> Fft.Blocked_conv.push cv cols.(i)) conv
   done;
@@ -858,21 +877,6 @@ let prefactor_linear_sparse ?health ?slu_symbolic fc ~h ~e ~a =
          Trace.with_span "factor" (fun () ->
              sparse_block ?health ?sym:slu_symbolic ~column:0
                (linear_pencil_sparse ~h ~e ~a)))
-      : sparse_block)
-
-let prefactor_integral_dense fc ~key_salt ~hii ~e ~a =
-  ignore
-    (Factor_cache.find_or_add ~pin:true fc (key_salt @ [ hii ]) (fun _ ->
-         Trace.with_span "factor" (fun () ->
-             dense_block ~column:0 (Mat.sub e (Mat.scale hii a))))
-      : dense_block)
-
-let prefactor_integral_sparse ?health ?slu_symbolic fc ~key_salt ~hii ~e ~a =
-  ignore
-    (Factor_cache.find_or_add ~pin:true fc (key_salt @ [ hii ]) (fun _ ->
-         Trace.with_span "factor" (fun () ->
-             sparse_block ?health ?sym:slu_symbolic ~column:0
-               (Csr.add ~alpha:1.0 ~beta:(-.hii) e a)))
       : sparse_block)
 
 let solve_integral_kron ~h_mat ~one ~e ~a ~bu_int ~x0 =

@@ -44,16 +44,25 @@ open Opm_robust
 
     The per-column history term [Σ_{j<i} d^{(k)}_{ji} x_j] is the
     [O(n·m²)] hot path. On uniform grids every [D_k] is upper-triangular
-    {e Toeplitz} ([d_{j,j+l}] depends only on the lag [l]), so the
-    history is a causal convolution of the first-row coefficients with
-    the solved-column sequence. Passing [?toeplitz] (one first-row array
-    per term) routes it through {!Opm_numkit.Fft.Blocked_conv} —
-    [O(n·m·log² m)] — instead of the naive scan. The FFT reassociates
-    the summation: results agree with the naive path to ≤ 1e-10
-    relative, not bit-identically. {!fft_rhs_enabled} gates the fast
-    path globally ([OPM_NO_FFT_RHS], the CLI's [--no-fft-rhs]);
-    callers omitting [?toeplitz] (adaptive grids) are unaffected either
-    way. *)
+    {e Toeplitz} ([d_{j,j+l}] depends only on the lag [l]) and is passed
+    as {!Toeplitz} (its first row); the history is then a causal
+    convolution of that row with the solved-column sequence, which
+    {!Opm_numkit.Fft.Blocked_conv} computes in [O(n·m·log² m)] instead
+    of the naive scan's [O(n·m²)].
+
+    {b FFT-path rule.} {!solve_dense}/{!solve_sparse} take the FFT path
+    exactly when the caller passes [~fft_history:true], {e every}
+    operand is [Toeplitz], {!fft_rhs_enabled} holds, [m > 1] and
+    [max m history_len >= ]{!fft_rhs_min_m}; otherwise the naive scan
+    runs, reading the same entries from either form — so a [Toeplitz]
+    operand and its densified [Dense] twin give bit-identical results
+    there. The FFT reassociates the summation: results agree with the
+    naive path to ≤ 1e-10 relative, not bit-identically, which is why
+    callers vouch with [~fft_history] only for non-growing kernels
+    (fractional orders [α ≤ 1]); for [α > 1] the alternating, growing
+    ρ weights stay accurate only in the naive scan's summation order.
+    {!fft_rhs_enabled} gates the fast path globally ([OPM_NO_FFT_RHS],
+    the CLI's [--no-fft-rhs]). *)
 
 val fft_rhs_enabled : unit -> bool
 (** Whether the FFT Toeplitz history path may be used. Defaults to
@@ -63,6 +72,19 @@ val fft_rhs_enabled : unit -> bool
 val set_fft_rhs_enabled : bool -> unit
 (** Override the switch for the rest of the process (takes precedence
     over the environment). *)
+
+(** An operational matrix [D_k] as the column engine reads it. Both
+    forms must be upper triangular; only entries [d_{j,i}] with
+    [j <= i] are read. *)
+type opmat =
+  | Dense of Mat.t  (** [m×m]: adaptive grids, other bases *)
+  | Toeplitz of Vec.t
+      (** first row of an upper-triangular Toeplitz [m×m] matrix,
+          [d_{j,i} = row.(i − j)] — O(m) storage (uniform-grid BPF
+          [D^α], see {!Opm_basis.Block_pulse.fractional_differential_row}) *)
+
+val opmat_get : opmat -> int -> int -> float
+(** [opmat_get d j i] is [d_{j,i}], for [j <= i]. *)
 
 type dense_block
 (** A factorised diagonal block of the dense backend (pencil matrix +
@@ -139,11 +161,11 @@ val solve_dense :
   ?fcache:(float list, dense_block) Factor_cache.t ->
   ?key_salt:float list ->
   ?pin_factors:bool ->
-  ?toeplitz:float array list ->
+  ?fft_history:bool ->
   ?history_len:int ->
   ?conv_reuse:Fft.Blocked_conv.t ->
   ?budget:Budget.t ->
-  terms:(Mat.t * Mat.t) list ->
+  terms:(Mat.t * opmat) list ->
   a:Mat.t ->
   bu:Mat.t ->
   unit ->
@@ -171,20 +193,19 @@ val solve_dense :
     {!Factor_cache}). [?pin_factors] pins the blocks this call inserts
     or touches in [?fcache], shielding them from capacity eviction.
 
-    [?toeplitz] asserts that each [D_k] is upper-triangular Toeplitz and
-    supplies its first row (length [m], one array per term, same order
-    as [terms]); the history term then takes the FFT fast path when
-    {!fft_rhs_enabled} and the horizon is long enough to amortise it
-    ([>= ]{!fft_rhs_min_m}[ ]— below the measured crossover the naive
-    scan is kept, bit-identically). The gate compares
-    [max m history_len]: a windowed caller solving a long horizon in
-    short blocks passes the {e global} horizon as [?history_len] so the
-    per-window column count does not mask a workload deep enough to
-    amortise the FFT. [?conv_reuse] recycles a previously created
-    convolver of matching shape (its kernel spectra — the plan state —
-    are kept, its data reset); on shape mismatch a fresh one is
-    allocated. Raises [Invalid_argument] when the list length or row
-    lengths disagree with [terms]/[m]. *)
+    [?fft_history] (default [false]) allows the FFT history path under
+    the rule above; below {!fft_rhs_min_m} the naive scan is kept,
+    bit-identically. The gate compares [max m history_len]: a windowed
+    caller solving a long horizon in short blocks passes the
+    {e global} horizon as [?history_len] so the per-window column count
+    does not mask a workload deep enough to amortise the FFT.
+    [?conv_reuse] recycles a previously created convolver of matching
+    shape (its kernel spectra — the plan state — are kept, its data
+    reset); on shape mismatch a fresh one is allocated.
+
+    The [fft-block] fault site poisons the history of the first term
+    whose [E_k] is non-empty, so the injected NaN always reaches a live
+    term. *)
 
 val solve_sparse :
   ?health:Health.t ->
@@ -192,12 +213,12 @@ val solve_sparse :
   ?fcache:(float list, sparse_block) Factor_cache.t ->
   ?key_salt:float list ->
   ?pin_factors:bool ->
-  ?toeplitz:float array list ->
+  ?fft_history:bool ->
   ?history_len:int ->
   ?conv_reuse:Fft.Blocked_conv.t ->
   ?budget:Budget.t ->
   ?slu_symbolic:Slu.symbolic option ref ->
-  terms:(Csr.t * Mat.t) list ->
+  terms:(Csr.t * opmat) list ->
   a:Csr.t ->
   bu:Mat.t ->
   unit ->
@@ -213,6 +234,14 @@ val solve_sparse :
     a windowed driver or a compiled model re-solving the same
     structure. The strict-pivoting escalation rung never uses the
     hint. *)
+
+val toeplitz_convolver :
+  n:int -> ('e * opmat) list -> Fft.Blocked_conv.t option
+(** The convolver {!solve_dense}/{!solve_sparse} build under
+    [~fft_history:true] for these operands and an [n]-row state, or
+    [None] when the FFT-path rule keeps the naive scan. A caller that
+    solves the same operands repeatedly builds it once and passes it as
+    [?conv_reuse]. *)
 
 val solve_dense_kron : terms:(Mat.t * Mat.t) list -> a:Mat.t -> bu:Mat.t -> Mat.t
 (** Reference implementation that forms the full
@@ -281,17 +310,17 @@ val solve_integral_dense :
   ?fcache:(float list, dense_block) Factor_cache.t ->
   ?key_salt:float list ->
   ?pin_factors:bool ->
-  ?toeplitz:float array list ->
   ?history_len:int ->
   ?budget:Budget.t ->
-  h_mat:Mat.t -> one:Vec.t -> e:Mat.t -> a:Mat.t -> bu_int:Mat.t ->
+  h_mat:opmat -> one:Vec.t -> e:Mat.t -> a:Mat.t -> bu_int:Mat.t ->
   x0:Vec.t -> unit -> Mat.t
 (** Column-by-column solve of the integral form; requires [h_mat] upper
     triangular (block pulses). [bu_int] is [B·U·H] ([n×m]); [one] the
     constant-1 coefficients; each diagonal block is
-    [(E − H_{ii}·A)]. [?toeplitz] (a singleton list carrying [H]'s first
-    row) engages the same FFT history fast path as {!solve_dense} —
-    valid on uniform grids, where [H] is Toeplitz. Columns run behind
+    [(E − H_{ii}·A)]. A {!Toeplitz} [h_mat] (uniform grids: first row
+    [[h/2; h; h; …]]) engages the same FFT history fast path as
+    {!solve_dense} under the same rule, with [~fft_history] implied —
+    [H]'s weights do not grow. Columns run behind
     the same fallback cascade as the differential solvers
     ([?health]/[?cond_limit]), and [?fcache]/[?key_salt]/[?pin_factors]/
     [?history_len] behave as in {!solve_dense} (the cache key is the
@@ -303,11 +332,10 @@ val solve_integral_sparse :
   ?fcache:(float list, sparse_block) Factor_cache.t ->
   ?key_salt:float list ->
   ?pin_factors:bool ->
-  ?toeplitz:float array list ->
   ?history_len:int ->
   ?budget:Budget.t ->
   ?slu_symbolic:Slu.symbolic option ref ->
-  h_mat:Mat.t -> one:Vec.t -> e:Csr.t -> a:Csr.t -> bu_int:Mat.t ->
+  h_mat:opmat -> one:Vec.t -> e:Csr.t -> a:Csr.t -> bu_int:Mat.t ->
   x0:Vec.t -> unit -> Mat.t
 (** Sparse-backend version of {!solve_integral_dense} (diagonal blocks
     [(E − H_{ii}·A)] in CSR, with the strict-pivoting and sparse→dense
@@ -321,8 +349,7 @@ val solve_integral_sparse :
     factorisations and returns bit-identical columns. [~diag] is the
     per-term diagonal-coefficient list of column 0 ([(2/h)^α·ρ_α(0)]
     per term on a uniform grid); [~es] the matching [E_k] list; the
-    linear variants key on the step [h], the integral ones on [H]'s
-    diagonal entry [hii]. *)
+    linear variants key on the step [h]. *)
 
 val prefactor_dense :
   (float list, dense_block) Factor_cache.t ->
@@ -343,16 +370,6 @@ val prefactor_linear_sparse :
   ?slu_symbolic:Slu.symbolic option ref ->
   (float list, sparse_block) Factor_cache.t ->
   h:float -> e:Csr.t -> a:Csr.t -> unit
-
-val prefactor_integral_dense :
-  (float list, dense_block) Factor_cache.t ->
-  key_salt:float list -> hii:float -> e:Mat.t -> a:Mat.t -> unit
-
-val prefactor_integral_sparse :
-  ?health:Health.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  (float list, sparse_block) Factor_cache.t ->
-  key_salt:float list -> hii:float -> e:Csr.t -> a:Csr.t -> unit
 
 val solve_integral_kron :
   h_mat:Mat.t -> one:Vec.t -> e:Mat.t -> a:Mat.t -> bu_int:Mat.t ->

@@ -71,24 +71,25 @@ let simulate_linear_integral ?(backend = `Auto) ?health ?budget ?x0 ?window
   if Array.length x0 <> n then
     invalid_arg "Opm: x0 length mismatch with system order";
   let backend = pick_backend backend n in
-  (* uniform-grid H is Toeplitz (first row [h/2; h; h; …]), so the
-     integral form shares the FFT history fast path *)
-  let toeplitz_of w =
+  (* uniform-grid H is Toeplitz (first row [h/2; h; h; …]): the engine
+     takes that row, and with it the FFT history fast path *)
+  let h_op w dense =
     match grid with
-    | Grid.Uniform _ when Engine.fft_rhs_enabled () ->
-        Some [ Array.init w (Mat.get h_mat 0) ]
-    | _ -> None
+    | Grid.Uniform _ -> Engine.Toeplitz (Array.init w (Mat.get h_mat 0))
+    | Grid.Adaptive _ -> Engine.Dense (Lazy.force dense)
   in
   let global () =
     let one = Array.make m 1.0 in
     match backend with
     | `Dense ->
-        Engine.solve_integral_dense ?health ?toeplitz:(toeplitz_of m) ?budget
-          ~h_mat ~one ~e:(Descriptor.e_dense sys) ~a:(Descriptor.a_dense sys)
+        Engine.solve_integral_dense ?health ?budget
+          ~h_mat:(h_op m (lazy h_mat))
+          ~one ~e:(Descriptor.e_dense sys) ~a:(Descriptor.a_dense sys)
           ~bu_int ~x0 ()
     | `Sparse ->
-        Engine.solve_integral_sparse ?health ?toeplitz:(toeplitz_of m) ?budget
-          ~h_mat ~one ~e:sys.Descriptor.e ~a:sys.Descriptor.a ~bu_int ~x0 ()
+        Engine.solve_integral_sparse ?health ?budget
+          ~h_mat:(h_op m (lazy h_mat))
+          ~one ~e:sys.Descriptor.e ~a:sys.Descriptor.a ~bu_int ~x0 ()
   in
   (* Windowed streaming of the integral form. On a uniform grid the
      history weights are constant — H_{ji} = h for every j < i — so the
@@ -127,30 +128,22 @@ let simulate_linear_integral ?(backend = `Auto) ?health ?budget ?x0 ?window
         Mat.init n wlen (fun r l -> Mat.get bu_int r (s + l) +. a_spre.(r))
       in
       let h_win =
-        Mat.init wlen wlen (fun i j ->
-            if j < i then 0.0 else if j = i then h /. 2.0 else h)
-      in
-      let toeplitz =
-        match toeplitz_of wlen with
-        | Some _ ->
-            Some
-              [
-                Array.init wlen (fun l ->
-                    if l = 0 then h /. 2.0 else h);
-              ]
-        | None -> None
+        h_op wlen
+          (lazy
+            (Mat.init wlen wlen (fun i j ->
+                 if j < i then 0.0 else if j = i then h /. 2.0 else h)))
       in
       let one = Array.make wlen 1.0 in
       let x_win =
         match backend with
         | `Dense ->
             Engine.solve_integral_dense ?health ~fcache:fc_d
-              ~pin_factors:true ?toeplitz ~history_len:m ?budget ~h_mat:h_win
+              ~pin_factors:true ~history_len:m ?budget ~h_mat:h_win
               ~one ~e:(Lazy.force e_d) ~a:(Lazy.force a_d) ~bu_int:bu_win ~x0
               ()
         | `Sparse ->
             Engine.solve_integral_sparse ?health ~fcache:fc_s
-              ~pin_factors:true ?toeplitz ~history_len:m ?budget ~h_mat:h_win
+              ~pin_factors:true ~history_len:m ?budget ~h_mat:h_win
               ~one ~e:sys.Descriptor.e ~a:sys.Descriptor.a ~bu_int:bu_win ~x0
               ()
       in

@@ -68,7 +68,7 @@ type term_state = {
   beta : float;  (** α − ⌊α⌋ *)
   binom : float array;  (** C(n_int, p), p = 0 … n_int *)
   rho_beta : float array;  (** ρ series of the fractional factor *)
-  rho_full : float array;  (** ρ series of α itself (window D blocks) *)
+  row : float array;  (** first row of D^α, (2/h)^α·ρ_α (window D blocks) *)
   yr : int;  (** y ring size: max(k_eff, n_int, 1) *)
   yring : float array array;  (** y_t at slot t mod yr *)
 }
@@ -443,7 +443,9 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
             beta;
             binom;
             rho_beta;
-            rho_full = series alpha m;
+            row =
+              Block_pulse.fractional_differential_row ~rho:(series alpha m)
+                grid alpha;
             yr;
             yring = Array.make yr [||];
           })
@@ -452,32 +454,20 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
     let key_salt =
       List.map (fun { Multi_term.alpha; _ } -> alpha) terms @ [ h ]
     in
+    (* within-window D blocks are Toeplitz: the leading wlen entries of
+       each term's row. The FFT history path is restricted, like
+       Compiled_model.fft_safe_terms, to non-growing kernels (α ≤ 1):
+       for α > 1 the alternating growing ρ_α terms only stay accurate
+       under the naive scan's pairwise cancellation order *)
+    let fft_history =
+      List.for_all (fun { Multi_term.alpha; _ } -> alpha <= 1.0) terms
+    in
     let d_win wlen =
       List.map
-        (fun ti ->
-          Mat.init wlen wlen (fun i j ->
-              if j >= i then ti.scale *. ti.rho_full.(j - i) else 0.0))
+        (fun ti -> (ti.coeff, Engine.Toeplitz (Array.sub ti.row 0 wlen)))
         term_data
     in
     let d_full = d_win w in
-    (* within-window D blocks are Toeplitz by construction (first row
-       scale·ρ_α), so each per-window engine call can take the FFT
-       history fast path — restricted, like Opm.uniform_toeplitz, to
-       non-growing kernels (α ≤ 1): for α > 1 the alternating growing
-       ρ_α terms only stay accurate under the naive scan's pairwise
-       cancellation order *)
-    let fft_safe =
-      List.for_all (fun { Multi_term.alpha; _ } -> alpha <= 1.0) terms
-    in
-    let t_win wlen =
-      if fft_safe && Engine.fft_rhs_enabled () then
-        Some
-          (List.map
-             (fun ti -> Array.init wlen (fun l -> ti.scale *. ti.rho_full.(l)))
-             term_data)
-      else None
-    in
-    let t_full = t_win w in
     let ilog2 v =
       let r = ref 0 and v = ref v in
       while !v > 1 do
@@ -631,21 +621,16 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
               term_data;
           let dt_pre = Unix.gettimeofday () -. t0 in
           let d = if wlen = w then d_full else d_win wlen in
-          let toeplitz = if wlen = w then t_full else t_win wlen in
           let x_win =
             match backend with
             | `Sparse ->
                 Engine.solve_sparse ?health ~fcache:fc_s ~key_salt
-                  ~pin_factors:true ?toeplitz ~history_len:m ?budget
-                  ~terms:
-                    (List.map2
-                       (fun { Multi_term.coeff; _ } dm -> (coeff, dm))
-                       terms d)
-                  ~a:sys.Multi_term.a ~bu:bu_win ()
+                  ~pin_factors:true ~fft_history ~history_len:m ?budget
+                  ~terms:d ~a:sys.Multi_term.a ~bu:bu_win ()
             | `Dense ->
                 Engine.solve_dense ?health ~fcache:fc_d ~key_salt
-                  ~pin_factors:true ?toeplitz ~history_len:m ?budget
-                  ~terms:(List.map2 (fun e dm -> (e, dm)) (Lazy.force dense_coeffs) d)
+                  ~pin_factors:true ~fft_history ~history_len:m ?budget
+                  ~terms:(List.map2 (fun e (_, dm) -> (e, dm)) (Lazy.force dense_coeffs) d)
                   ~a:(Lazy.force a_dense) ~bu:bu_win ()
           in
           let t1 = Unix.gettimeofday () in

@@ -35,7 +35,9 @@ let mat_norm1 a =
    dense nm × nm pencil), and going through [Mat.get]/[Mat.set] costs
    an un-inlined call plus two bounds checks per flop. The operation
    order is exactly the classical k-outer scan, so results are
-   bit-identical to the accessor-based version this replaces. *)
+   bit-identical to the accessor-based version this replaces. The row
+   update is unrolled four-wide to cut loop overhead; its entries are
+   independent, so no result bit changes. *)
 let factor a =
   Metrics.incr m_factor;
   Metrics.time h_factor_seconds @@ fun () ->
@@ -76,12 +78,25 @@ let factor a =
       let ri = i * n in
       let f = Array.unsafe_get d (ri + k) /. pivot in
       Array.unsafe_set d (ri + k) f;
-      if f <> 0.0 then
-        for j = k + 1 to n - 1 do
+      if f <> 0.0 then begin
+        let j = ref (k + 1) in
+        while !j + 3 < n do
+          let a = ri + !j and b = rk + !j in
+          Array.unsafe_set d a
+            (Array.unsafe_get d a -. (f *. Array.unsafe_get d b));
+          Array.unsafe_set d (a + 1)
+            (Array.unsafe_get d (a + 1) -. (f *. Array.unsafe_get d (b + 1)));
+          Array.unsafe_set d (a + 2)
+            (Array.unsafe_get d (a + 2) -. (f *. Array.unsafe_get d (b + 2)));
+          Array.unsafe_set d (a + 3)
+            (Array.unsafe_get d (a + 3) -. (f *. Array.unsafe_get d (b + 3)));
+          j := !j + 4
+        done;
+        for j = !j to n - 1 do
           Array.unsafe_set d (ri + j)
-            (Array.unsafe_get d (ri + j)
-            -. (f *. Array.unsafe_get d (rk + j)))
+            (Array.unsafe_get d (ri + j) -. (f *. Array.unsafe_get d (rk + j)))
         done
+      end
     done
   done;
   { lu; piv; sign = !sign; norm1; cond1 = None }

@@ -174,6 +174,72 @@ let test_fractional_paper_example () =
     (Mat.max_abs_diff (Mat.mul d32 d32) (Mat.pow d 3))
     ~tol:1e-9
 
+(* The uniform D^α has one source, its O(m) first row: the dense
+   builder is that row densified bit for bit, and the row is the
+   paper's (2/h)^α·ρ_{α,m} computed exactly as the series defines it. *)
+let test_fractional_row_densifies () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (g, alpha) ->
+      let m = Grid.size g in
+      let label = Printf.sprintf "α = %g, m = %d" alpha m in
+      let row = Block_pulse.fractional_differential_row g alpha in
+      let d = Block_pulse.fractional_differential_matrix g alpha in
+      let h = Grid.t_end g /. float_of_int m in
+      let rho = Series.one_minus_over_one_plus_pow alpha m in
+      check_int (label ^ ": row length") m (Array.length row);
+      Array.iteri
+        (fun l c ->
+          if bits c <> bits (((2.0 /. h) ** alpha) *. rho.(l)) then
+            Alcotest.failf "%s: row.(%d) is not (2/h)^α·ρ(%d)" label l l)
+        row;
+      for i = 0 to m - 1 do
+        for j = 0 to m - 1 do
+          let want = if j >= i then row.(j - i) else 0.0 in
+          if bits (Mat.get d i j) <> bits want then
+            Alcotest.failf "%s: D(%d,%d) differs from the densified row"
+              label i j
+        done
+      done;
+      check_bool (label ^ ": ?rho gives the same row") true
+        (Array.for_all2
+           (fun a b -> bits a = bits b)
+           row
+           (Block_pulse.fractional_differential_row ~rho g alpha)))
+    [
+      (Grid.uniform ~t_end:4.0 ~m:4, 1.5);
+      (Grid.uniform ~t_end:1e-3 ~m:100, 0.5);
+      (Grid.uniform ~t_end:2.0 ~m:33, 1.0);
+      (Grid.uniform ~t_end:1.0 ~m:7, 0.0);
+      (Grid.uniform ~t_end:3e-5 ~m:300, 0.75);
+      (Grid.adaptive (Array.make 6 (1.0 /. 6.0)), 0.7);
+    ];
+  (* eq. (24) read off the row: h = 1, so the row is 2^{3/2}·ρ_{3/2} *)
+  let row =
+    Block_pulse.fractional_differential_row (Grid.uniform ~t_end:4.0 ~m:4) 1.5
+  in
+  List.iteri
+    (fun l c ->
+      close (Printf.sprintf "eq. (24) row entry %d" l) (c *. (2.0 ** 1.5))
+        row.(l) ~tol:1e-12)
+    [ 1.0; -3.0; 4.5; -5.5 ];
+  check_bool "non-uniform grid rejected" true
+    (try
+       ignore
+         (Block_pulse.fractional_differential_row
+            (Grid.geometric ~t_end:1.0 ~m:8 ~ratio:1.3)
+            0.5);
+       false
+     with Invalid_argument _ -> true);
+  check_bool "wrong-length rho rejected" true
+    (try
+       ignore
+         (Block_pulse.fractional_differential_row ~rho:[| 1.0 |]
+            (Grid.uniform ~t_end:1.0 ~m:4)
+            0.5);
+       false
+     with Invalid_argument _ -> true)
+
 let test_fractional_alpha_one_is_d () =
   let g = Grid.uniform ~t_end:1.0 ~m:6 in
   close "D^1 = D" 0.0
@@ -519,6 +585,8 @@ let () =
           t "d^½ t = 2√(t/π)" test_fractional_halfderivative_of_t;
           t "I^½ 1 = 2√(t/π)" test_fractional_integral_of_one;
           q prop_fractional_semigroup_uniform;
+          t "Toeplitz row = dense builder, bit for bit"
+            test_fractional_row_densifies;
         ] );
       ( "walsh",
         [

@@ -13,6 +13,8 @@ let close ?(tol = 1e-9) msg expected actual =
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let dense_ops terms = List.map (fun (e, d) -> (e, Engine.Dense d)) terms
+
 let step = Source.Step { amplitude = 1.0; delay = 0.0 }
 
 let max_err_against f result =
@@ -115,7 +117,7 @@ let test_engine_column_equals_kron () =
   let d = Block_pulse.differential_matrix grid in
   let st = Random.State.make [| 4 |] in
   let bu = Mat.init 5 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let x1 = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let x1 = Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
   let x2 = Engine.solve_dense_kron ~terms:[ (e, d) ] ~a ~bu in
   close "identical" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-8
 
@@ -126,9 +128,9 @@ let test_engine_sparse_equals_dense () =
   let d = Block_pulse.fractional_differential_matrix grid 0.6 in
   let st = Random.State.make [| 5 |] in
   let bu = Mat.init 12 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let xd = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let xd = Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
   let xs =
-    Engine.solve_sparse ~terms:[ (Csr.of_dense e, d) ] ~a:(Csr.of_dense a) ~bu ()
+    Engine.solve_sparse ~terms:[ (Csr.of_dense e, Engine.Dense d) ] ~a:(Csr.of_dense a) ~bu ()
   in
   close "identical" 0.0 (Mat.max_abs_diff xd xs) ~tol:1e-9
 
@@ -143,7 +145,7 @@ let test_engine_multi_term_kron () =
   let st = Random.State.make [| 6 |] in
   let bu = Mat.init 4 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let terms = [ (e2, d2); (e1, d1) ] in
-  let x1 = Engine.solve_dense ~terms ~a ~bu () in
+  let x1 = Engine.solve_dense ~terms:(dense_ops terms) ~a ~bu () in
   let x2 = Engine.solve_dense_kron ~terms ~a ~bu in
   close "identical" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-7
 
@@ -155,7 +157,7 @@ let test_engine_residual () =
   let d = Block_pulse.differential_matrix grid in
   let st = Random.State.make [| 7 |] in
   let bu = Mat.init 6 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let x = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let x = Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
   let residual = Mat.sub (Mat.mul (Mat.mul e x) d) (Mat.add (Mat.mul a x) bu) in
   close "residual" 0.0 (Mat.max_abs_diff residual (Mat.zeros 6 m)) ~tol:1e-7
 
@@ -169,7 +171,7 @@ let test_linear_fast_path_equals_generic () =
       let st = Random.State.make [| 8 |] in
       let bu = Mat.init 7 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
       let d = Block_pulse.differential_matrix grid in
-      let x_generic = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+      let x_generic = Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
       let x_fast = Engine.solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu () in
       close "fast = generic" 0.0 (Mat.max_abs_diff x_fast x_generic) ~tol:1e-8;
       let x_sparse =
@@ -270,7 +272,7 @@ let test_linear_fast_path_adaptive_512 () =
   let st = Random.State.make [| 9 |] in
   let bu = Mat.init 3 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let d = Block_pulse.differential_matrix grid in
-  let x_generic = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let x_generic = Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
   let x_fast = Engine.solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu () in
   close "adaptive 512-step fast path = generic" 0.0
     (Mat.max_abs_diff x_fast x_generic) ~tol:1e-6
@@ -280,7 +282,7 @@ let test_engine_dimension_check () =
   let d = Block_pulse.differential_matrix (Grid.uniform ~t_end:1.0 ~m:4) in
   check_bool "bu size mismatch rejected" true
     (try
-       ignore (Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu:(Mat.zeros 3 5) ());
+       ignore (Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu:(Mat.zeros 3 5) ());
        false
      with Invalid_argument _ -> true)
 
@@ -437,7 +439,7 @@ let test_mixed_order_terms () =
   let e = Mat.eye 1 and a = Mat.of_arrays [| [| -1.0 |] |] in
   let bu = Mat.init 1 m (fun _ _ -> 1.0) in
   let terms = [ (e, d1); (e, d12) ] in
-  let x1 = Engine.solve_dense ~terms ~a ~bu () in
+  let x1 = Engine.solve_dense ~terms:(dense_ops terms) ~a ~bu () in
   let x2 = Engine.solve_dense_kron ~terms ~a ~bu in
   close "column = kron" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-9
 
@@ -690,6 +692,250 @@ let test_adaptive_matches_uniform () =
   in
   check_bool "close to dense uniform answer" true (err < -60.0)
 
+(* ---------- Toeplitz operands ---------- *)
+
+let mat_bits_equal a b =
+  let ra, ca = Mat.dims a and rb, cb = Mat.dims b in
+  ra = rb && ca = cb
+  &&
+  let ok = ref true in
+  for i = 0 to ra - 1 do
+    for j = 0 to ca - 1 do
+      if
+        Int64.bits_of_float (Mat.get a i j)
+        <> Int64.bits_of_float (Mat.get b i j)
+      then ok := false
+    done
+  done;
+  !ok
+
+let rel_diff x y = Mat.max_abs_diff x y /. Float.max (Mat.norm_inf y) 1e-300
+
+let solve_ops ~backend ?fft_history ~a ~bu terms =
+  match backend with
+  | `Dense -> Engine.solve_dense ?fft_history ~terms ~a ~bu ()
+  | `Sparse ->
+      Engine.solve_sparse ?fft_history
+        ~terms:(List.map (fun (e, d) -> (Csr.of_dense e, d)) terms)
+        ~a:(Csr.of_dense a) ~bu ()
+
+(* FFT history blocks run by [f] (the obs counter the engine keeps),
+   with the global FFT switch on whatever the environment says *)
+let rhsconv_blocks f =
+  let module M = Opm_obs.Metrics in
+  let was = M.enabled () and fft_was = Engine.fft_rhs_enabled () in
+  M.set_enabled true;
+  M.reset ();
+  Engine.set_fft_rhs_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.set_fft_rhs_enabled fft_was;
+      M.reset ();
+      M.set_enabled was)
+    (fun () ->
+      let r = f () in
+      (r, M.counter_value (M.counter "engine.rhsconv.blocks")))
+
+(* Each term as a Toeplitz row and as the dense builder's matrix, on
+   both backends. Where the naive scan runs the two forms read the same
+   numbers, so they agree bit for bit; with [~fft_history:true] past
+   the crossover the Toeplitz form runs the FFT convolver and agrees to
+   the ≤ 1e-10 contract. *)
+let check_toeplitz_vs_dense ~m ~alphas ~expect_fft =
+  let n = 6 in
+  let _, a = random_system (40 + m) n in
+  let grid = Grid.uniform ~t_end:1e-3 ~m in
+  let st = Random.State.make [| m |] in
+  let bu = Mat.init n m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
+  let es =
+    List.mapi (fun k _ -> fst (random_system (50 + k) n)) alphas
+  in
+  let dense =
+    List.map2
+      (fun e alpha ->
+        (e, Engine.Dense (Block_pulse.fractional_differential_matrix grid alpha)))
+      es alphas
+  in
+  let toep =
+    List.map2
+      (fun e alpha ->
+        (e, Engine.Toeplitz (Block_pulse.fractional_differential_row grid alpha)))
+      es alphas
+  in
+  List.iter
+    (fun backend ->
+      let label =
+        Printf.sprintf "m = %d, α = [%s], %s" m
+          (String.concat "; " (List.map string_of_float alphas))
+          (match backend with `Dense -> "dense" | `Sparse -> "sparse")
+      in
+      let xd = solve_ops ~backend ~a ~bu dense in
+      check_bool (label ^ ": naive Toeplitz = dense, bit for bit") true
+        (mat_bits_equal (solve_ops ~backend ~a ~bu toep) xd);
+      let xf, blocks =
+        rhsconv_blocks (fun () ->
+            solve_ops ~backend ~fft_history:true ~a ~bu toep)
+      in
+      if expect_fft then begin
+        check_bool (label ^ ": FFT path engaged") true (blocks > 0);
+        check_bool (label ^ ": FFT within 1e-10 of dense") true
+          (rel_diff xf xd <= 1e-10)
+      end
+      else begin
+        check_int (label ^ ": below the crossover, no FFT") 0 blocks;
+        check_bool (label ^ ": still bit for bit") true (mat_bits_equal xf xd)
+      end)
+    [ `Dense; `Sparse ]
+
+let test_toeplitz_naive_bit_identity () =
+  check_toeplitz_vs_dense ~m:100 ~alphas:[ 0.5 ] ~expect_fft:false
+
+let test_toeplitz_fft_path () =
+  check_toeplitz_vs_dense ~m:300 ~alphas:[ 0.5 ] ~expect_fft:true
+
+let test_toeplitz_multi_term () =
+  check_toeplitz_vs_dense ~m:100 ~alphas:[ 0.5; 1.0 ] ~expect_fft:false;
+  check_toeplitz_vs_dense ~m:300 ~alphas:[ 0.5; 1.0 ] ~expect_fft:true
+
+(* A compiled uniform-grid model hands the engine Toeplitz rows: its
+   query must equal the direct engine call on the same operands bit for
+   bit — through the FFT path for α ≤ 1, and on the naive scan (so equal
+   to the dense matrix) for α = 3/2, whose growing ρ weights are kept
+   off the FFT path. *)
+let test_compiled_uses_toeplitz_operands () =
+  let n = 5 and m = 300 in
+  let e, a = random_system 71 n in
+  let grid = Grid.uniform ~t_end:1e-3 ~m in
+  let st = Random.State.make [| 72 |] in
+  let u = Mat.init n m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
+  List.iter
+    (fun (alpha, fft) ->
+      let sys =
+        Multi_term.make ~terms:[ (Csr.of_dense e, alpha) ] ~a:(Csr.of_dense a)
+          ~b:(Mat.eye n) ~c:(Mat.eye n) ()
+      in
+      let bu = Mat.mul (Mat.eye n) u in
+      List.iter
+        (fun backend ->
+          let label =
+            Printf.sprintf "α = %g, %s" alpha
+              (match backend with `Dense -> "dense" | `Sparse -> "sparse")
+          in
+          let compiled =
+            Compiled_model.solve_coeffs
+              (Compiled_model.compile
+                 ~backend:(backend :> Compiled_model.backend)
+                 ~grid sys)
+              u
+          in
+          let row = Block_pulse.fractional_differential_row grid alpha in
+          let direct =
+            solve_ops ~backend ~fft_history:fft ~a ~bu
+              [ (e, Engine.Toeplitz row) ]
+          in
+          check_bool (label ^ ": compiled = engine on Toeplitz rows") true
+            (mat_bits_equal compiled direct);
+          if not fft then
+            check_bool (label ^ ": naive scan, = dense matrix") true
+              (mat_bits_equal compiled
+                 (solve_ops ~backend ~a ~bu
+                    [
+                      ( e,
+                        Engine.Dense
+                          (Block_pulse.fractional_differential_matrix grid
+                             alpha) );
+                    ])))
+        [ `Dense; `Sparse ])
+    [ (0.5, true); (1.5, false) ]
+
+(* an R–CPE ladder through the netlist front end: Mna.stamp emits an
+   empty α = 1 term ahead of the CPE term *)
+let cpe_ladder sections =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "V1 in 0 sin(0 1 2000 0)\n";
+  for k = 1 to sections do
+    let from = if k = 1 then "in" else Printf.sprintf "n%d" (k - 1) in
+    Printf.bprintf b "R%d %s n%d %g\nP%d n%d 0 q=%g alpha=0.5\n" k from k
+      (1000.0 +. float_of_int k)
+      k k
+      (1e-6 *. (1.0 +. (0.1 *. float_of_int k)))
+  done;
+  Opm_circuit.Mna.stamp (Opm_circuit.Parser.parse_string (Buffer.contents b))
+
+let opmat_bytes () =
+  Opm_obs.Metrics.gauge_last (Opm_obs.Metrics.gauge "compiled.opmat_bytes")
+
+(* Compile drops the stamped empty α = 1 term: one O(m) row is built,
+   and the answer is the two-term engine solve's, bit for bit. One-shot
+   stays compile-then-solve. *)
+let test_empty_term_dropped () =
+  let mt, srcs = cpe_ladder 4 in
+  check_int "stamp emits the empty α = 1 term" 2
+    (List.length mt.Multi_term.terms);
+  List.iter
+    (fun m ->
+      let grid = Grid.uniform ~t_end:1e-3 ~m in
+      let was = Opm_obs.Metrics.enabled () in
+      Opm_obs.Metrics.set_enabled true;
+      let model = Compiled_model.compile ~grid mt in
+      let bytes = opmat_bytes () in
+      Opm_obs.Metrics.set_enabled was;
+      close (Printf.sprintf "m = %d: one row of operator storage" m)
+        (float_of_int (8 * m)) bytes;
+      let r = Compiled_model.solve model srcs in
+      check_bool "one-shot = compiled" true
+        (mat_bits_equal (Opm.simulate_multi_term ~grid mt srcs).Sim_result.x
+           r.Sim_result.x);
+      if m < Engine.fft_rhs_min_m then
+        let bu = Compiled_model.bu_matrix ~grid mt srcs in
+        let terms =
+          List.map
+            (fun { Multi_term.coeff; alpha } ->
+              ( Csr.to_dense coeff,
+                Engine.Dense (Block_pulse.fractional_differential_matrix grid alpha)
+              ))
+            mt.Multi_term.terms
+        in
+        check_bool "= two-term engine solve" true
+          (mat_bits_equal r.Sim_result.x
+             (Engine.solve_dense ~terms ~a:(Csr.to_dense mt.Multi_term.a) ~bu ())))
+    [ 100; 300 ]
+
+(* A dense D^α at m = 65 536 is 34 GB per term; the Toeplitz row is
+   512 KB. Compiling a stamped R–CPE ladder there (the served path
+   accepts steps up to 200 000) must stay within a few MB of heap:
+   the row, the FFT convolver's column store and kernel spectra, and
+   the factored pencil. Checked first at m = 4 096, where a dense
+   regression would fail the bound without exhausting memory. *)
+let test_compile_memory_bound () =
+  let mt, _ = cpe_ladder 2 in
+  let was = Opm_obs.Metrics.enabled () in
+  Opm_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Opm_obs.Metrics.set_enabled was)
+    (fun () ->
+      List.iter
+        (fun m ->
+          let grid = Grid.uniform ~t_end:1e-3 ~m in
+          Gc.full_major ();
+          let live0 = (Gc.stat ()).Gc.live_words in
+          let alloc0 = Gc.allocated_bytes () in
+          let model = Compiled_model.compile ~grid mt in
+          let allocated = Gc.allocated_bytes () -. alloc0 in
+          Gc.full_major ();
+          let retained = 8 * ((Gc.stat ()).Gc.live_words - live0) in
+          ignore (Sys.opaque_identity model);
+          let mb = 1024.0 *. 1024.0 in
+          close (Printf.sprintf "m = %d: opmat bytes" m)
+            (float_of_int (8 * m)) (opmat_bytes ());
+          if allocated > 32.0 *. mb then
+            Alcotest.failf "m = %d: compile allocated %.1f MB" m
+              (allocated /. mb);
+          if float_of_int retained > 16.0 *. mb then
+            Alcotest.failf "m = %d: compiled model retains %.1f MB" m
+              (float_of_int retained /. mb))
+        [ 4096; 65536 ])
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -718,6 +964,17 @@ let () =
           t "factor cache bounded" test_factor_cache_bounded;
           t "fast path on 512-step adaptive grid" test_linear_fast_path_adaptive_512;
           t "dimension check" test_engine_dimension_check;
+        ] );
+      ( "toeplitz-operand",
+        [
+          t "naive path m = 100, bit for bit" test_toeplitz_naive_bit_identity;
+          t "FFT path m = 300" test_toeplitz_fft_path;
+          t "multi-term α = ½ + α = 1" test_toeplitz_multi_term;
+          t "compiled uses Toeplitz rows, α = 3/2 stays naive"
+            test_compiled_uses_toeplitz_operands;
+          t "empty stamped term dropped" test_empty_term_dropped;
+          Alcotest.test_case "compile memory bound at m = 65 536" `Slow
+            test_compile_memory_bound;
         ] );
       ( "linear",
         [

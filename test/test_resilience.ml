@@ -338,6 +338,102 @@ let test_fault_matrix () =
         Fault.all_kinds)
     Fault.all_sites
 
+(* ---------- solver-level: the fft-block site on a stamped R–CPE
+   ladder. Mna.stamp emits an empty α = 1 term ahead of the CPE term;
+   the site must poison a live term's history, so an armed fault ends
+   in a structured error (Nan_poison, Singular, Enospc) or a verified
+   recovery (Latency: bit-identical answer), never in an answer the
+   fault silently failed to touch. ---------- *)
+
+let cpe_ladder () =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "V1 in 0 sin(0 1 2000 0)\n";
+  for k = 1 to 4 do
+    let from = if k = 1 then "in" else Printf.sprintf "n%d" (k - 1) in
+    Printf.bprintf b "R%d %s n%d %g\nP%d n%d 0 q=%g alpha=0.5\n" k from k
+      (1000.0 +. float_of_int k)
+      k k
+      (1e-6 *. (1.0 +. (0.1 *. float_of_int k)))
+  done;
+  Opm_circuit.Mna.stamp (Opm_circuit.Parser.parse_string (Buffer.contents b))
+
+(* the site lives on the FFT history path: keep it on whatever the
+   environment says *)
+let with_fft_history f =
+  let was = Engine.fft_rhs_enabled () in
+  Engine.set_fft_rhs_enabled true;
+  Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled was) f
+
+let expect_fft_block_fault ~label ~reference run =
+  List.iter
+    (fun kind ->
+      let label = Printf.sprintf "%s, %s" label (Fault.kind_to_string kind) in
+      Fault.arm
+        { Fault.seed = base_seed; site = Fault.Fft_block; kind; nth = 2 };
+      Fun.protect ~finally:Fault.disarm @@ fun () ->
+      let outcome =
+        match run () with
+        | x -> Ok x
+        | exception Opm_error.Error e -> Error e
+      in
+      check_bool (label ^ ": site fired") true (Fault.injected_total () > 0);
+      match (kind, outcome) with
+      | Fault.Latency, Ok x ->
+          check_bool (label ^ ": recovered bit for bit") true
+            (bits_equal x reference)
+      | Fault.Latency, Error e ->
+          Alcotest.failf "%s: latency must not fail (%s)" label
+            (Opm_error.to_string e)
+      | _, Ok _ -> Alcotest.failf "%s: the fault left the answer unchanged" label
+      | _, Error _ -> ())
+    Fault.all_kinds
+
+let test_fft_block_stamped_ladder () =
+  Fault.disarm ();
+  with_fft_history @@ fun () ->
+  let mt, srcs = cpe_ladder () in
+  let grid = Grid.uniform ~t_end:1e-3 ~m in
+  List.iter
+    (fun (label, window, backend) ->
+      let run () =
+        (Opm.simulate_multi_term ~backend ?window ~grid mt srcs).Sim_result.x
+      in
+      expect_fft_block_fault ~label ~reference:(run ()) run)
+    [
+      ("one-shot dense", None, `Dense);
+      ("one-shot sparse", None, `Sparse);
+      ("windowed dense", Some w, `Dense);
+      ("windowed sparse", Some w, `Sparse);
+    ]
+
+(* the same site one layer down: the engine handed the stamped terms
+   as they are, empty α = 1 term first *)
+let test_fft_block_skips_empty_term () =
+  Fault.disarm ();
+  with_fft_history @@ fun () ->
+  let mt, srcs = cpe_ladder () in
+  let grid = Grid.uniform ~t_end:1e-3 ~m in
+  let bu = Compiled_model.bu_matrix ~grid mt srcs in
+  let terms =
+    List.map
+      (fun { Multi_term.coeff; alpha } ->
+        (coeff, Engine.Toeplitz (Block_pulse.fractional_differential_row grid alpha)))
+      mt.Multi_term.terms
+  in
+  let a = mt.Multi_term.a in
+  let run_sparse () = Engine.solve_sparse ~fft_history:true ~terms ~a ~bu () in
+  let terms_d =
+    List.map (fun (e, d) -> (Opm_sparse.Csr.to_dense e, d)) terms
+  in
+  let a_d = Opm_sparse.Csr.to_dense a in
+  let run_dense () =
+    Engine.solve_dense ~fft_history:true ~terms:terms_d ~a:a_d ~bu ()
+  in
+  expect_fft_block_fault ~label:"engine sparse" ~reference:(run_sparse ())
+    run_sparse;
+  expect_fft_block_fault ~label:"engine dense" ~reference:(run_dense ())
+    run_dense
+
 (* ---------- solver-level: kill/resume differential (satellite: kill
    at every window boundary, resume, demand bit-identity) ---------- *)
 
@@ -409,5 +505,9 @@ let () =
           Alcotest.test_case "fault matrix" `Slow test_fault_matrix;
           Alcotest.test_case "kill/resume bit-identity" `Slow
             test_kill_resume_differential;
+          Alcotest.test_case "fft-block on a stamped R–CPE ladder" `Slow
+            test_fft_block_stamped_ladder;
+          Alcotest.test_case "fft-block skips an empty term" `Quick
+            test_fft_block_skips_empty_term;
         ] );
     ]

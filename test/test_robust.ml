@@ -188,7 +188,7 @@ let test_singular_dense () =
   let grid = Grid.uniform ~t_end:1.0 ~m:4 in
   let d = Block_pulse.differential_matrix grid in
   let bu = Mat.init 2 4 (fun _ _ -> 1.0) in
-  match Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () with
+  match Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () with
   | _ -> Alcotest.fail "expected Singular_pencil"
   | exception Opm_error.Error (Opm_error.Singular_pencil { column; step; _ }) ->
       check_int "failing time column" 0 column;
@@ -206,7 +206,7 @@ let test_singular_sparse_cascade () =
   let health = Health.create () in
   match
     Engine.solve_sparse ~health
-      ~terms:[ (Csr.of_dense e, d) ]
+      ~terms:[ (Csr.of_dense e, Engine.Dense d) ]
       ~a:(Csr.of_dense a) ~bu ()
   with
   | _ -> Alcotest.fail "expected Singular_pencil"
@@ -279,8 +279,8 @@ let test_noop_on_well_conditioned () =
   let st = Random.State.make [| 22 |] in
   let bu = Mat.init 8 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let health = Health.create () in
-  let x_with = Engine.solve_dense ~health ~terms:[ (e, d) ] ~a ~bu () in
-  let x_without = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let x_with = Engine.solve_dense ~health ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
+  let x_without = Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
   close "bit-identical with/without health" 0.0
     (Mat.max_abs_diff x_with x_without);
   check_int "no fallback events" 0 (Health.fallback_count health);
@@ -289,11 +289,11 @@ let test_noop_on_well_conditioned () =
   check_bool "no warnings" true (Health.warnings health = []);
   let xs_with =
     Engine.solve_sparse ~health:(Health.create ())
-      ~terms:[ (Csr.of_dense e, d) ]
+      ~terms:[ (Csr.of_dense e, Engine.Dense d) ]
       ~a:(Csr.of_dense a) ~bu ()
   in
   let xs_without =
-    Engine.solve_sparse ~terms:[ (Csr.of_dense e, d) ] ~a:(Csr.of_dense a) ~bu ()
+    Engine.solve_sparse ~terms:[ (Csr.of_dense e, Engine.Dense d) ] ~a:(Csr.of_dense a) ~bu ()
   in
   close "sparse bit-identical" 0.0 (Mat.max_abs_diff xs_with xs_without)
 

@@ -316,7 +316,19 @@ let test_solve_fractional_differential () =
       let netlist = cpe_netlist 0.001 in
       let body = solve_body ~steps:40 ~probes:[ "a" ] netlist in
       let resp = request ~port ~meth:"POST" ~path:"/solve" body in
-      check_differential ~probes:[ "a" ] ~t_end:0.005 ~steps:40 netlist resp)
+      check_differential ~probes:[ "a" ] ~t_end:0.005 ~steps:40 netlist resp;
+      (* the compile kept D^½ as its 40-entry Toeplitz row (the empty
+         α = 1 term the stamp emits is dropped), and /metrics says so *)
+      let m = request ~port ~meth:"GET" ~path:"/metrics" "" in
+      let gauge =
+        List.fold_left
+          (fun j key -> Option.bind j (Json.member key))
+          (Some (Json.of_string m.body))
+          [ "metrics"; "gauges"; "compiled.opmat_bytes"; "last" ]
+      in
+      Alcotest.(check (option (float 0.0)))
+        "compiled.opmat_bytes = 8·steps" (Some 320.0)
+        (Option.bind gauge Json.to_float_opt))
 
 (* ---------- the serving contract: K concurrent sweeping clients ----------
 

@@ -311,7 +311,8 @@ let test_factor_cache_alpha_h_regression () =
     let d = Block_pulse.fractional_differential_matrix grid alpha in
     let terms =
       List.map
-        (fun { Multi_term.coeff; _ } -> (Opm_sparse.Csr.to_dense coeff, d))
+        (fun { Multi_term.coeff; _ } ->
+          (Opm_sparse.Csr.to_dense coeff, Engine.Dense d))
         mta.Multi_term.terms
     in
     Engine.solve_dense ?fcache ~key_salt:[ alpha; 2.0 ] ~terms
@@ -360,7 +361,7 @@ let test_pinned_factor_survives_interleaving () =
       ignore
         (Engine.solve_dense ~fcache:fc_d
            ~key_salt:[ float_of_int !salt ]
-           ~terms:[ (Mat.eye 1, Mat.eye 1) ]
+           ~terms:[ (Mat.eye 1, Engine.Dense (Mat.eye 1)) ]
            ~a:(Mat.scale (-1.0) (Mat.eye 1))
            ~bu:(Mat.zeros 1 1) ())
     done
