@@ -23,7 +23,6 @@ type method_ =
   | Gl
   | Opm_adaptive
   | Exact
-  | Integral
 
 let method_conv =
   let parse = function
@@ -35,7 +34,6 @@ let method_conv =
     | "fft" -> Ok Fft
     | "gl" | "grunwald" -> Ok Gl
     | "exact" -> Ok Exact
-    | "integral" | "opm-integral" -> Ok Integral
     | s -> Error (`Msg (Printf.sprintf "unknown method %S" s))
   in
   let print ppf m =
@@ -48,8 +46,7 @@ let method_conv =
       | Gear -> "gear"
       | Fft -> "fft"
       | Gl -> "gl"
-      | Exact -> "exact"
-      | Integral -> "integral")
+      | Exact -> "exact")
   in
   Arg.conv (parse, print)
 
@@ -100,10 +97,9 @@ let steps_arg =
 
 let method_arg =
   let doc =
-    "Transient method: opm, opm-adaptive, integral (integral-form OPM; \
-     ODE only), be (backward Euler), trap (trapezoidal), gear (BDF2), \
-     fft (frequency domain), gl (Grünwald–Letnikov), exact \
-     (matrix-exponential reference; ODE only)."
+    "Transient method: opm, opm-adaptive, be (backward Euler), trap \
+     (trapezoidal), gear (BDF2), fft (frequency domain), gl \
+     (Grünwald–Letnikov), exact (matrix-exponential reference; ODE only)."
   in
   Arg.(value & opt method_conv Opm_method & info [ "method" ] ~docv:"METHOD" ~doc)
 
@@ -352,8 +348,7 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
         "opm_sim: warning: --window only applies to the opm methods; ignored\n%!"
   | _ -> ());
   (match (basis, method_) with
-  | `Spectral, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive | Integral)
-    ->
+  | `Spectral, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive) ->
       Printf.eprintf
         "opm_sim: warning: --basis only applies to the opm method; ignored\n%!"
   | _ -> ());
@@ -386,13 +381,6 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
                    ?checkpoint_every ?resume_from ?window ?memory_len ~grid mt
                    srcs)
                   .Sim_result.outputs))
-    | Integral ->
-        let sys, srcs = Mna.stamp_linear ?outputs net in
-        let grid = Grid.uniform ~t_end ~m:steps in
-        with_state_names sys.Descriptor.state_names (fun () ->
-            (Opm.simulate_linear_integral ?health ?budget ?window ~grid sys
-               srcs)
-              .Sim_result.outputs)
     | Opm_adaptive ->
         let sys, srcs = Mna.stamp_linear ?outputs net in
         let result, stats =
@@ -409,8 +397,7 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
           match method_ with
           | Be -> Stepper.Backward_euler
           | Trap -> Stepper.Trapezoidal
-          | Gear | Opm_method | Opm_adaptive | Fft | Gl | Exact | Integral ->
-              Stepper.Gear2
+          | Gear | Opm_method | Opm_adaptive | Fft | Gl | Exact -> Stepper.Gear2
         in
         let sys, srcs = Mna.stamp_linear ?outputs net in
         Stepper.solve ~scheme ~h:(t_end /. float_of_int steps) ~t_end sys srcs

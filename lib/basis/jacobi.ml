@@ -196,23 +196,6 @@ let barycentric_weights x =
       done;
       1.0 /. !p)
 
-let interpolate ~nodes ~bw ~values t =
-  let n = Array.length nodes in
-  let hit = ref (-1) in
-  for j = 0 to n - 1 do
-    if t = nodes.(j) then hit := j
-  done;
-  if !hit >= 0 then values.(!hit)
-  else begin
-    let num = ref 0.0 and den = ref 0.0 in
-    for j = 0 to n - 1 do
-      let w = bw.(j) /. (t -. nodes.(j)) in
-      num := !num +. (w *. values.(j));
-      den := !den +. w
-    done;
-    !num /. !den
-  end
-
 let collocation ~t_end ~m =
   if m < 1 then invalid_arg "Jacobi.collocation: m < 1";
   if not (t_end > 0.0) then invalid_arg "Jacobi.collocation: t_end <= 0";

@@ -64,11 +64,6 @@ val barycentric_weights : float array -> float array
     capacity [(max − min)/4] so they neither overflow nor underflow at
     the sizes spectral collocation uses. *)
 
-val interpolate :
-  nodes:float array -> bw:float array -> values:float array -> float -> float
-(** Second-form barycentric interpolation; exact (no division) when the
-    query coincides with a node. *)
-
 val resample_matrix : colloc -> float array -> Mat.t
 (** [R] of shape [(len times) × (m+1)]: [R_{kj} = ℓ_j(t_k)], the
     cardinal functions of [colloc.all] evaluated at the output times —

@@ -24,12 +24,6 @@ let input_coefficients ~grid sources =
     sources;
   u
 
-let pick_backend backend n =
-  match backend with
-  | `Dense -> `Dense
-  | `Sparse -> `Sparse
-  | `Auto -> if n > 64 then `Sparse else `Dense
-
 (* input derivative d^r u/dt^r acts on coefficients as U · D^r; [deriv]
    lets a compiled model substitute its cached differentiation matrix *)
 let apply_input_order ?deriv ~grid (sys : Multi_term.t) u =
@@ -165,7 +159,7 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
       {
         sys;
         grid;
-        backend = pick_backend backend n;
+        backend = Engine.pick_backend backend n;
         memory_len = None;
         uniform = true;
         plan = Spectral (Spectral_solver.compile ?health ~grid sys);
@@ -188,7 +182,7 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
     | [] -> sys
     | terms -> { sys with Multi_term.terms }
   in
-  let backend = pick_backend backend n in
+  let backend = Engine.pick_backend backend n in
   let uniform =
     match grid with Grid.Uniform _ -> true | Grid.Adaptive _ -> false
   in

@@ -185,8 +185,6 @@ val input_coefficients : grid:Grid.t -> Source.t array -> Mat.t
 val bu_matrix :
   ?deriv:(unit -> Mat.t) -> grid:Grid.t -> Multi_term.t -> Source.t array -> Mat.t
 
-val pick_backend : backend -> int -> [ `Dense | `Sparse ]
-
 val fft_safe_terms : Multi_term.term list -> bool
 
 val shift_by_x0 : Mat.t -> Vec.t -> Mat.t

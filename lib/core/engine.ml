@@ -41,6 +41,13 @@ let fft_rhs_enabled () =
 
 let set_fft_rhs_enabled b = fft_rhs_flag := Some b
 
+(* the one dense/sparse backend policy, shared by every driver above *)
+let pick_backend backend n =
+  match backend with
+  | `Dense -> `Dense
+  | `Sparse -> `Sparse
+  | `Auto -> if n > 64 then `Sparse else `Dense
+
 (* An operational matrix as the engine reads it: dense, or upper-
    triangular Toeplitz stored as its first row (uniform grids). Only
    entries on or above the diagonal (j <= i) are ever read. *)
@@ -253,9 +260,8 @@ let block_lookup ?(pin = false) ~fcache ~key_salt ~build () =
             cache := Some (key, b);
             b)
 
-(* Accumulate rhs_i = bu_i + sign·Σ_k E_k (Σ_{j<i} d^{(k)}_{ji} x_j),
-   with [apply_e] abstracting dense/sparse E_k·v ([sign] is −1 for the
-   differential forms, +1 for the integral form). When [conv] is given
+(* Accumulate rhs_i = bu_i − Σ_k E_k (Σ_{j<i} d^{(k)}_{ji} x_j), with
+   [apply_e] abstracting dense/sparse E_k·v. When [conv] is given
    the history sums come from the blocked FFT convolver (the solved
    columns must have been pushed into it); otherwise the D_k columns are
    scanned naively — that branch is bit-identical to the historical
@@ -263,8 +269,7 @@ let block_lookup ?(pin = false) ~fcache ~key_salt ~build () =
    [live], the first term with a non-empty E_k: an empty E_k, or a
    single entry in a state column E_k never reads, would multiply the
    NaN away on the sparse backend. *)
-let column_rhs ?conv ?(sign = -1.0) ?(live = 0) ~n ~bu ~terms ~apply_e ~cols
-    i =
+let column_rhs ?conv ?(live = 0) ~n ~bu ~terms ~apply_e ~cols i =
   let rhs = Array.init n (fun r -> Mat.get bu r i) in
   (match conv with
   | Some cv ->
@@ -277,7 +282,7 @@ let column_rhs ?conv ?(sign = -1.0) ?(live = 0) ~n ~bu ~terms ~apply_e ~cols
                touches the convolver's internal state *)
             if poison && k = live then Array.fill hist 0 n Float.nan;
             let ev = apply_e k hist in
-            Vec.axpy sign ev rhs)
+            Vec.axpy (-1.0) ev rhs)
           terms
       end
   | None ->
@@ -294,7 +299,7 @@ let column_rhs ?conv ?(sign = -1.0) ?(live = 0) ~n ~bu ~terms ~apply_e ~cols
           done;
           if !any then begin
             let ev = apply_e k acc in
-            Vec.axpy sign ev rhs
+            Vec.axpy (-1.0) ev rhs
           end)
         terms);
   rhs
@@ -751,98 +756,6 @@ let solve_linear_sparse ?health ?(cond_limit = Health.default_cond_limit)
   in
   solve_linear ?budget ~steps ~apply_e:(Csr.mul_vec e) ~solve_col ~bu ()
 
-let integral_rhs ~one ~e_x0 ~bu_int =
-  let n, m = Mat.dims bu_int in
-  if Array.length one <> m then
-    invalid_arg "Engine.solve_integral: constant-vector length mismatch";
-  if Array.length e_x0 <> n then
-    invalid_arg "Engine.solve_integral: x0 length mismatch";
-  Mat.init n m (fun r i -> Mat.get bu_int r i +. (e_x0.(r) *. one.(i)))
-
-let check_integral_h ~m h_mat =
-  if opmat_dims h_mat <> (m, m) then
-    invalid_arg "Engine.solve_integral_dense: H dimension mismatch";
-  match h_mat with
-  | Dense h when not (Mat.is_upper_triangular ~tol:0.0 h) ->
-      invalid_arg
-        "Engine.solve_integral_dense: H must be upper triangular (use \
-         solve_integral_kron for general bases)"
-  | Dense _ | Toeplitz _ -> ()
-
-let solve_integral_dense ?health ?(cond_limit = Health.default_cond_limit)
-    ?fcache ?(key_salt = []) ?(pin_factors = false) ?history_len ?budget
-    ~h_mat ~one ~e ~a ~bu_int ~x0 () =
-  Trace.with_span "engine.solve_integral_dense" @@ fun () ->
-  let n, m = Mat.dims bu_int in
-  check_integral_h ~m h_mat;
-  let rhs_base = integral_rhs ~one ~e_x0:(Mat.mul_vec e x0) ~bu_int in
-  let cols = Array.make m [||] in
-  (* the integral form shares the history machinery of the differential
-     solvers: rhs_i = bu_i + A Σ_{j<i} H_{ji} x_j, i.e. a single
-     [column_rhs] term with E := A and sign +1; H's weights do not
-     grow, so a Toeplitz H always may take the FFT path *)
-  let terms = [ (a, h_mat) ] in
-  let apply_e _ v = Mat.mul_vec a v in
-  let conv = make_conv ?history_len ~fft_history:true ~terms ~n ~m () in
-  let build ~column key =
-    let hii = List.hd key in
-    budget_factor ~bytes:(n * n * 8) budget;
-    Trace.with_span "factor" (fun () ->
-        dense_block ~column (Mat.sub e (Mat.scale hii a)))
-  in
-  let lookup = block_lookup ~pin:pin_factors ~fcache ~key_salt ~build () in
-  Metrics.incr ~by:m m_columns;
-  for i = 0 to m - 1 do
-    budget_column budget;
-    let rhs =
-      column_rhs ?conv ~sign:1.0 ~n ~bu:rhs_base ~terms ~apply_e ~cols i
-    in
-    let blk = lookup ~column:i [ opmat_get h_mat i i ] in
-    cols.(i) <- solve_col_dense ?health ~cond_limit ~column:i blk rhs;
-    Option.iter (fun cv -> Fft.Blocked_conv.push cv cols.(i)) conv
-  done;
-  record_conv_metrics ~conv ~m;
-  let x = Mat.zeros n m in
-  Array.iteri (fun i col -> Mat.set_col x i col) cols;
-  x
-
-let solve_integral_sparse ?health ?(cond_limit = Health.default_cond_limit)
-    ?fcache ?(key_salt = []) ?(pin_factors = false) ?history_len ?budget
-    ?slu_symbolic ~h_mat ~one ~e ~a ~bu_int ~x0 () =
-  Trace.with_span "engine.solve_integral_sparse" @@ fun () ->
-  let n, m = Mat.dims bu_int in
-  check_integral_h ~m h_mat;
-  let rhs_base = integral_rhs ~one ~e_x0:(Csr.mul_vec e x0) ~bu_int in
-  let cols = Array.make m [||] in
-  let terms = [ ((), h_mat) ] in
-  let apply_e _ v = Csr.mul_vec a v in
-  let conv = make_conv ?history_len ~fft_history:true ~terms ~n ~m () in
-  let sym =
-    match slu_symbolic with Some r -> r | None -> ref None
-  in
-  let build ~column key =
-    let hii = List.hd key in
-    let pencil = Csr.add ~alpha:1.0 ~beta:(-.hii) e a in
-    budget_factor ~bytes:(Csr.nnz pencil * 16) budget;
-    Trace.with_span "factor" (fun () ->
-        sparse_block ?health ~sym ~column pencil)
-  in
-  let lookup = block_lookup ~pin:pin_factors ~fcache ~key_salt ~build () in
-  Metrics.incr ~by:m m_columns;
-  for i = 0 to m - 1 do
-    budget_column budget;
-    let rhs =
-      column_rhs ?conv ~sign:1.0 ~n ~bu:rhs_base ~terms ~apply_e ~cols i
-    in
-    let blk = lookup ~column:i [ opmat_get h_mat i i ] in
-    cols.(i) <- solve_col_sparse ?health ~cond_limit ~column:i blk rhs;
-    Option.iter (fun cv -> Fft.Blocked_conv.push cv cols.(i)) conv
-  done;
-  record_conv_metrics ~conv ~m;
-  let x = Mat.zeros n m in
-  Array.iteri (fun i col -> Mat.set_col x i col) cols;
-  x
-
 (* ------------------------------------------------------------------ *)
 (* Compile-ahead factorisation. These insert (and pin) the diagonal
    block a subsequent solve will look up, using the same pencil
@@ -878,16 +791,6 @@ let prefactor_linear_sparse ?health ?slu_symbolic fc ~h ~e ~a =
              sparse_block ?health ?sym:slu_symbolic ~column:0
                (linear_pencil_sparse ~h ~e ~a)))
       : sparse_block)
-
-let solve_integral_kron ~h_mat ~one ~e ~a ~bu_int ~x0 =
-  let n, m = Mat.dims bu_int in
-  let rhs_mat = integral_rhs ~one ~e_x0:(Mat.mul_vec e x0) ~bu_int in
-  let big =
-    Mat.sub (Mat.kron (Mat.eye m) e) (Mat.kron (Mat.transpose h_mat) a)
-  in
-  let rhs = Array.init (n * m) (fun k -> Mat.get rhs_mat (k mod n) (k / n)) in
-  let sol = Lu.solve_dense big rhs in
-  Mat.init n m (fun r c -> sol.((c * n) + r))
 
 let solve_dense_kron ~terms ~a ~bu =
   let n, m = Mat.dims bu in

@@ -21,6 +21,10 @@ open Opm_robust
     why Table II shows OPM's runtime on par with one-factorisation
     transient schemes.
 
+    This differential form ([D = H⁻¹]) is the only formulation the
+    engine solves; callers carry a nonzero initial state through the
+    [z = x − x₀] shift.
+
     {2 Guardrails}
 
     Every column solve runs behind a fallback cascade. A non-finite
@@ -72,6 +76,12 @@ val fft_rhs_enabled : unit -> bool
 val set_fft_rhs_enabled : bool -> unit
 (** Override the switch for the rest of the process (takes precedence
     over the environment). *)
+
+val pick_backend : [ `Auto | `Dense | `Sparse ] -> int -> [ `Dense | `Sparse ]
+(** Resolve a backend request against the state count [n]: [`Auto]
+    selects [`Sparse] when [n > 64], else [`Dense]; explicit choices
+    pass through. Every driver ({!Compiled_model}, {!Window}) resolves
+    through this one policy. *)
 
 (** An operational matrix [D_k] as the column engine reads it. Both
     forms must be upper triangular; only entries [d_{j,i}] with
@@ -291,56 +301,6 @@ val solve_linear_sparse :
     [2/h·E − A] share one pattern; [?slu_symbolic] as in
     {!solve_sparse}. *)
 
-(** {1 Integral-form OPM}
-
-    The classical operational-matrix formulation (the lineage of the
-    paper's refs [2], [4]): integrating [E ẋ = A x + B u] once gives
-
-    [E·X = A·X·H + B·U·H + (E x₀)·1ᵀ]
-
-    where [H] is the *integration* operational matrix and [1] the
-    coefficient vector of the constant-one function in the chosen basis.
-    Initial conditions enter for free, and the formulation works for any
-    basis with an integration matrix — including polynomial bases whose
-    differentiation matrix does not exist (Legendre). *)
-
-val solve_integral_dense :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, dense_block) Factor_cache.t ->
-  ?key_salt:float list ->
-  ?pin_factors:bool ->
-  ?history_len:int ->
-  ?budget:Budget.t ->
-  h_mat:opmat -> one:Vec.t -> e:Mat.t -> a:Mat.t -> bu_int:Mat.t ->
-  x0:Vec.t -> unit -> Mat.t
-(** Column-by-column solve of the integral form; requires [h_mat] upper
-    triangular (block pulses). [bu_int] is [B·U·H] ([n×m]); [one] the
-    constant-1 coefficients; each diagonal block is
-    [(E − H_{ii}·A)]. A {!Toeplitz} [h_mat] (uniform grids: first row
-    [[h/2; h; h; …]]) engages the same FFT history fast path as
-    {!solve_dense} under the same rule, with [~fft_history] implied —
-    [H]'s weights do not grow. Columns run behind
-    the same fallback cascade as the differential solvers
-    ([?health]/[?cond_limit]), and [?fcache]/[?key_salt]/[?pin_factors]/
-    [?history_len] behave as in {!solve_dense} (the cache key is the
-    diagonal entry [H_{ii}]). *)
-
-val solve_integral_sparse :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, sparse_block) Factor_cache.t ->
-  ?key_salt:float list ->
-  ?pin_factors:bool ->
-  ?history_len:int ->
-  ?budget:Budget.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  h_mat:opmat -> one:Vec.t -> e:Csr.t -> a:Csr.t -> bu_int:Mat.t ->
-  x0:Vec.t -> unit -> Mat.t
-(** Sparse-backend version of {!solve_integral_dense} (diagonal blocks
-    [(E − H_{ii}·A)] in CSR, with the strict-pivoting and sparse→dense
-    escalation rungs); [?slu_symbolic] as in {!solve_sparse}. *)
-
 (** {1 Compile-ahead factorisation}
 
     [prefactor_*] insert — and pin — the diagonal block a subsequent
@@ -370,10 +330,3 @@ val prefactor_linear_sparse :
   ?slu_symbolic:Slu.symbolic option ref ->
   (float list, sparse_block) Factor_cache.t ->
   h:float -> e:Csr.t -> a:Csr.t -> unit
-
-val solve_integral_kron :
-  h_mat:Mat.t -> one:Vec.t -> e:Mat.t -> a:Mat.t -> bu_int:Mat.t ->
-  x0:Vec.t -> Mat.t
-(** Dense Kronecker solve of the same equation,
-    [(I_m ⊗ E − Hᵀ ⊗ A) vec(X) = vec(BU·H + E x₀·1ᵀ)] — valid for *any*
-    [h_mat] (e.g. the non-triangular Legendre integration matrix). *)

@@ -8,7 +8,7 @@ module Opm_error = Opm_robust.Opm_error
 module Trace = Opm_obs.Trace
 
 module Operator = struct
-  type t = { n : int; m : int; lu : Lu.t; cond : float }
+  type t = { n : int; m : int; lu : Lu.t }
 
   let make ?health ?budget ?cond_limit:_ ~n ~m terms =
     Trace.with_span "spectral.factor" @@ fun () ->
@@ -57,9 +57,7 @@ module Operator = struct
     in
     let cond = Lu.cond_est lu in
     (match health with Some h -> Health.record_cond h cond | None -> ());
-    { n; m; lu; cond }
-
-  let cond t = t.cond
+    { n; m; lu }
 
   let solve ?health ?budget t rhs =
     (match budget with

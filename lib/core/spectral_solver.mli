@@ -38,45 +38,6 @@ open Opm_signal
     the spectral rate to Gibbs oscillations — block pulses are the
     right basis there. *)
 
-(** The shared dense Kronecker-operator primitive: factor
-    [Σ_k (M_kᵀ ⊗ C_k)] once, then solve [Σ_k C_k X M_k = R] for many
-    right-hand sides. Also the engine of the Legendre integral-form
-    solver ({!Legendre_solver}), whose integration matrix is dense
-    non-triangular too. *)
-module Operator : sig
-  type t
-
-  val make :
-    ?health:Opm_robust.Health.t ->
-    ?budget:Opm_robust.Budget.t ->
-    ?cond_limit:float ->
-    n:int ->
-    m:int ->
-    (Mat.t * Mat.t) list ->
-    t
-  (** [make ~n ~m terms] with [terms = [(C_k, M_k); …]] ([C_k] is
-      [n × n], [M_k] is [m × m]) forms and factors
-      [Σ_k (M_kᵀ ⊗ C_k)]. Raises structured
-      [Opm_error.Singular_pencil] when the operator is singular;
-      records the condition estimate into [?health]; charges [?budget]
-      one factorisation of [(nm)²] floats. *)
-
-  val solve :
-    ?health:Opm_robust.Health.t ->
-    ?budget:Opm_robust.Budget.t ->
-    t ->
-    Mat.t ->
-    Mat.t
-  (** Solve [Σ_k C_k X M_k = R] for the [n × m] right-hand side [R]
-      against the cached factors — zero factorisations per call.
-      Raises structured [Opm_error.Non_finite] if the solution
-      contains NaN/Inf. *)
-
-  val cond : t -> float
-  (** The cached Hager/Higham condition estimate of the factored
-      operator. *)
-end
-
 type t
 
 val compile :

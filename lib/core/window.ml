@@ -77,15 +77,6 @@ let m_windows = Metrics.counter "window.count"
 let m_factor_reuse = Metrics.counter "window.factor_reuse"
 let h_handoff = Metrics.histogram "window.handoff_seconds"
 
-(* kept in sync with Opm.pick_backend (Window sits below Opm in the
-   dependency order, so the three-line policy is duplicated rather than
-   imported) *)
-let pick_backend backend n =
-  match backend with
-  | `Dense -> `Dense
-  | `Sparse -> `Sparse
-  | `Auto -> if n > 64 then `Sparse else `Dense
-
 (* α = n + β with n = ⌊α⌋: the driver carries the ρ_n (integer) factor
    of the history exactly and truncates only the decaying ρ_β tail, so
    the discarded weight — and hence the error heuristic — lives in the
@@ -134,7 +125,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
   in
   let w = min w m in
   let nwin = (m + w - 1) / w in
-  let backend = pick_backend backend n in
+  let backend = Engine.pick_backend backend n in
   let cp_every =
     match checkpoint_every with
     | None -> 1

@@ -104,8 +104,8 @@ let fft_real x = fft (Array.map (fun re -> { Complex.re; im = 0.0 }) x)
 (* ------------------------------------------------------------------ *)
 (* Split-format real convolution kernels.
 
-   The Complex-based entry points above serve the spectrum /
-   frequency-domain callers; the convolution engine below runs inside
+   The Complex-based entry points above serve the frequency-domain
+   callers; the convolution engine below runs inside
    the per-column solver hot path, where an array of boxed Complex.t
    records costs an allocation per butterfly. These kernels work in
    place on separate re/im float arrays (flat, unboxed) instead. *)

@@ -175,8 +175,6 @@ let inverse a =
   let n, _ = Mat.dims a in
   solve_mat (factor a) (Mat.eye n)
 
-let cond_estimate a = Mat.norm_inf a *. Mat.norm_inf (inverse a)
-
 (* Hager/Higham power iteration on ‖A⁻¹‖₁ using one solve with A and one
    with Aᵀ per step (Higham, "FORTRAN codes for estimating the matrix
    one-norm", Algorithm 2.4 without the extra-vector safeguard). *)

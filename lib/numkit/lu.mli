@@ -35,10 +35,6 @@ val solve_dense : Mat.t -> Vec.t -> Vec.t
 
 val inverse : Mat.t -> Mat.t
 
-val cond_estimate : Mat.t -> float
-(** Rough condition-number estimate [‖A‖∞ · ‖A⁻¹‖∞] (forms the inverse;
-    intended for diagnostics on small systems, not hot paths). *)
-
 val inv_norm1_est :
   n:int -> solve:(Vec.t -> Vec.t) -> solve_t:(Vec.t -> Vec.t) -> float
 (** Hager/Higham estimate of [‖M⁻¹‖₁] for any operator given as a pair

@@ -30,10 +30,6 @@ let update a i j f =
   let k = (i * a.cols) + j in
   a.data.(k) <- f a.data.(k)
 
-let diag_of a =
-  let n = min a.rows a.cols in
-  Array.init n (fun i -> get a i i)
-
 let of_arrays rows_arr =
   let rows = Array.length rows_arr in
   if rows = 0 then { rows = 0; cols = 0; data = [||] }
@@ -46,9 +42,6 @@ let of_arrays rows_arr =
       rows_arr;
     init rows cols (fun i j -> rows_arr.(i).(j))
   end
-
-let to_arrays a =
-  Array.init a.rows (fun i -> Array.init a.cols (fun j -> get a i j))
 
 let dims a = (a.rows, a.cols)
 
@@ -159,9 +152,6 @@ let rec pow a k =
     if k mod 2 = 0 then sq else mul sq a
 
 let shift_nilpotent m = init m m (fun i j -> if j = i + 1 then 1.0 else 0.0)
-
-let frobenius_norm a =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 a.data)
 
 let norm_inf a =
   let best = ref 0.0 in

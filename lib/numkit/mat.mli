@@ -20,13 +20,8 @@ val init : int -> int -> (int -> int -> float) -> t
 val diag : Vec.t -> t
 (** Square matrix with the given diagonal. *)
 
-val diag_of : t -> Vec.t
-(** Diagonal of a matrix (length [min rows cols]). *)
-
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal length. *)
-
-val to_arrays : t -> float array array
 
 val get : t -> int -> int -> float
 
@@ -77,8 +72,6 @@ val pow : t -> int -> t
 val shift_nilpotent : int -> t
 (** [shift_nilpotent m] is the index-[m] nilpotent matrix [Q_m] of the
     paper's eq. (6): ones on the first superdiagonal, zero elsewhere. *)
-
-val frobenius_norm : t -> float
 
 val norm_inf : t -> float
 (** Maximum absolute row sum. *)

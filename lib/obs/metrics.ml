@@ -120,8 +120,6 @@ let set_gauge g v =
 
 let gauge_last g = Atomic.get g.last
 
-let gauge_max g = Atomic.get g.g_max
-
 let histogram name =
   match
     find_or_create name (fun () ->

@@ -46,8 +46,6 @@ val set_gauge : gauge -> float -> unit
 val gauge_last : gauge -> float
 (** [nan] when never set. *)
 
-val gauge_max : gauge -> float
-
 (** {2 Histograms} — fixed log-scale buckets, 5 per decade from 1e-9 to
     1e3 (62 buckets including the two clamp ends). The layout is fixed
     so snapshots from different runs merge bucket-by-bucket. *)

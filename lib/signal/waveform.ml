@@ -76,8 +76,6 @@ let resample w new_times =
   in
   make ~labels:w.labels new_times channels
 
-let map_channels f w = make ~labels:w.labels w.times (Array.map f w.channels)
-
 let bpf_grid ~t_end ~m =
   if m <= 0 then invalid_arg "Waveform.bpf_grid: m <= 0";
   let h = t_end /. float_of_int m in

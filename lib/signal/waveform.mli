@@ -36,8 +36,6 @@ val sample_at : t -> float -> float array
 val resample : t -> float array -> t
 (** Interpolate every channel onto a new grid. *)
 
-val map_channels : (float array -> float array) -> t -> t
-
 val bpf_grid : t_end:float -> m:int -> float array
 (** Midpoints of the [m] BPF intervals of [[0, t_end)] — the natural
     grid on which to compare a BPF expansion with a reference. *)

@@ -87,7 +87,6 @@ type t = {
   mutable cond1 : float option;  (** cached Hager estimate *)
 }
 
-let symbolic_of f = f.s
 let nnz_factors f = f.s.l_ptr.(f.s.sn) + f.s.u_ptr.(f.s.sn)
 
 let note_fill f nnz_a =

@@ -112,9 +112,6 @@ val factor_hinted :
     ref makes reuse *explicit* — callers that must stay bit-identical
     across runs (e.g. serial-vs-parallel sweeps) keep separate hints. *)
 
-val symbolic_of : t -> symbolic
-(** The symbolic object a factorisation was built from (or produced). *)
-
 val solve : t -> Vec.t -> Vec.t
 (** Solve [A x = b] reusing the factorisation. *)
 

@@ -430,118 +430,6 @@ let test_haar_constant_coefficient () =
     close (Printf.sprintf "wavelet %d" i) 0.0 c.(i) ~tol:1e-12
   done
 
-(* ---------- Legendre ---------- *)
-
-let test_legendre_integral_row0 () =
-  (* ∫₀ᵗ SL₀ = t = (SL₀ + SL₁)/2 on [0,1] *)
-  let p = Legendre.integral_matrix ~t_end:1.0 ~m:4 in
-  close "P00" 0.5 (Mat.get p 0 0) ~tol:1e-10;
-  close "P01" 0.5 (Mat.get p 0 1) ~tol:1e-10;
-  close "P02" 0.0 (Mat.get p 0 2) ~tol:1e-10
-
-let test_legendre_project_reconstruct_poly () =
-  (* degree-3 polynomial is represented exactly with m >= 4 *)
-  let f t = 1.0 +. (2.0 *. t) -. (3.0 *. t *. t) +. (t *. t *. t) in
-  let c = Legendre.project ~t_end:1.0 ~m:5 f in
-  List.iter
-    (fun t ->
-      close (Printf.sprintf "at %g" t) (f t)
-        (Legendre.reconstruct ~t_end:1.0 ~m:5 c t)
-        ~tol:1e-5)
-    [ 0.1; 0.4; 0.9 ]
-
-let test_legendre_integration_action () =
-  (* coefficient-space integration of SL₁ matches calculus on [0,1]:
-     ∫₀ᵗ (2τ−1) dτ = t² − t *)
-  let m = 5 in
-  let p = Legendre.integral_matrix ~t_end:1.0 ~m in
-  let c1 = Array.init m (fun i -> if i = 1 then 1.0 else 0.0) in
-  (* row-vector convention: coefficients of ∫ are cᵀP, i.e. Pᵀ·c *)
-  let ci = Mat.tmul_vec p c1 in
-  List.iter
-    (fun t ->
-      close
-        (Printf.sprintf "∫SL₁ at %g" t)
-        ((t *. t) -. t)
-        (Legendre.reconstruct ~t_end:1.0 ~m ci t)
-        ~tol:1e-9)
-    [ 0.2; 0.5; 0.8 ]
-
-(* ---------- Laguerre ---------- *)
-
-let test_laguerre_polynomials () =
-  (* L₂(t) = (t² − 4t + 2)/2 *)
-  let l2 = Laguerre.polynomial 2 in
-  close "L2(0)" 1.0 (Poly.eval l2 0.0) ~tol:1e-12;
-  close "L2(1)" (-0.5) (Poly.eval l2 1.0) ~tol:1e-12;
-  close "L2(4)" 1.0 (Poly.eval l2 4.0) ~tol:1e-12
-
-let test_laguerre_orthonormal () =
-  (* numeric ⟨φ_i, φ_j⟩ on a long truncated axis *)
-  let scale = 1.3 in
-  let dot i j =
-    let g t = Laguerre.eval ~scale i t *. Laguerre.eval ~scale j t in
-    let panels = 4000 and t_max = 30.0 in
-    let h = t_max /. float_of_int panels in
-    let s = ref (g 0.0 +. g t_max) in
-    for k = 1 to panels - 1 do
-      let w = if k land 1 = 1 then 4.0 else 2.0 in
-      s := !s +. (w *. g (float_of_int k *. h))
-    done;
-    !s *. h /. 3.0
-  in
-  close "⟨φ2,φ2⟩" 1.0 (dot 2 2) ~tol:1e-6;
-  close "⟨φ0,φ3⟩" 0.0 (dot 0 3) ~tol:1e-6
-
-let test_laguerre_project_reconstruct () =
-  let scale = 1.0 in
-  let f t = exp (-.t) *. (1.0 +. t) in
-  let c = Laguerre.project ~scale ~m:12 f in
-  List.iter
-    (fun t ->
-      close (Printf.sprintf "at %g" t) (f t)
-        (Laguerre.reconstruct ~scale ~m:12 c t)
-        ~tol:1e-6)
-    [ 0.2; 1.0; 3.0; 6.0 ]
-
-let test_laguerre_differential_exact () =
-  let scale = 0.8 in
-  let d = Laguerre.differential_matrix ~scale ~m:6 in
-  check_bool "lower triangular" true
-    (Mat.is_upper_triangular ~tol:1e-14 (Mat.transpose d));
-  (* matrix action vs finite difference for φ₄ *)
-  let row = Mat.row d 4 in
-  List.iter
-    (fun t ->
-      let matrix_val =
-        Array.to_list row
-        |> List.mapi (fun j c -> c *. Laguerre.eval ~scale j t)
-        |> List.fold_left ( +. ) 0.0
-      in
-      let fd =
-        (Laguerre.eval ~scale 4 (t +. 1e-6) -. Laguerre.eval ~scale 4 (t -. 1e-6))
-        /. 2e-6
-      in
-      close (Printf.sprintf "dφ₄ at %g" t) fd matrix_val ~tol:1e-5)
-    [ 0.5; 2.0 ]
-
-let test_laguerre_integral_decaying_case () =
-  (* ∫(φ₀ + φ₁) has zero constant tail: the matrix row is exact *)
-  let scale = 1.0 in
-  let p = Laguerre.integral_matrix ~scale ~m:8 in
-  let coeffs = Array.init 8 (fun i -> if i <= 1 then 1.0 else 0.0) in
-  let ic = Mat.tmul_vec p coeffs in
-  List.iter
-    (fun t ->
-      let exact = sqrt 2.0 *. 2.0 *. t *. exp (-.t) in
-      let matrix_val =
-        Array.to_list ic
-        |> List.mapi (fun j c -> c *. Laguerre.eval ~scale j t)
-        |> List.fold_left ( +. ) 0.0
-      in
-      close (Printf.sprintf "∫ at %g" t) exact matrix_val ~tol:1e-9)
-    [ 0.4; 1.0; 2.5 ]
-
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   let q = QCheck_alcotest.to_alcotest in
@@ -604,19 +492,5 @@ let () =
           t "roundtrip" test_haar_roundtrip;
           t "operational consistency" test_haar_operational_consistency;
           t "constant signal" test_haar_constant_coefficient;
-        ] );
-      ( "legendre",
-        [
-          t "integral row 0" test_legendre_integral_row0;
-          t "project/reconstruct polynomial" test_legendre_project_reconstruct_poly;
-          t "integration action" test_legendre_integration_action;
-        ] );
-      ( "laguerre",
-        [
-          t "polynomial values" test_laguerre_polynomials;
-          t "orthonormality" test_laguerre_orthonormal;
-          t "project/reconstruct" test_laguerre_project_reconstruct;
-          t "differentiation exact" test_laguerre_differential_exact;
-          t "integration (decaying case)" test_laguerre_integral_decaying_case;
         ] );
     ]

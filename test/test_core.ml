@@ -163,7 +163,8 @@ let test_engine_residual () =
 
 let test_linear_fast_path_equals_generic () =
   (* the §III-A special-pattern recurrence vs the generic triangular
-     engine with the explicit D matrix, on uniform and adaptive grids *)
+     engine with the explicit D matrix and the full Kronecker system of
+     eq. (15), on uniform and adaptive grids *)
   let e, a = random_system 51 7 in
   List.iter
     (fun grid ->
@@ -174,6 +175,8 @@ let test_linear_fast_path_equals_generic () =
       let x_generic = Engine.solve_dense ~terms:[ (e, Engine.Dense d) ] ~a ~bu () in
       let x_fast = Engine.solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu () in
       close "fast = generic" 0.0 (Mat.max_abs_diff x_fast x_generic) ~tol:1e-8;
+      let x_kron = Engine.solve_dense_kron ~terms:[ (e, d) ] ~a ~bu in
+      close "kron = generic" 0.0 (Mat.max_abs_diff x_kron x_generic) ~tol:1e-10;
       let x_sparse =
         Engine.solve_linear_sparse ~steps:(Grid.steps grid)
           ~e:(Csr.of_dense e) ~a:(Csr.of_dense a) ~bu ()
@@ -492,7 +495,7 @@ let test_input_derivative_handling () =
   check_bool "du/dt of ramp acts like step" true
     (max_err_against (fun t -> 1.0 -. exp (-.t)) r < 2e-2)
 
-(* ---------- initial conditions & integral form ---------- *)
+(* ---------- initial conditions ---------- *)
 
 let test_x0_discharge () =
   (* ẋ = −x, x(0) = 1: x = e^{−t} *)
@@ -539,102 +542,16 @@ let test_x0_size_check () =
        false
      with Invalid_argument _ -> true)
 
-let test_integral_form_equals_differential () =
-  let sys = Descriptor.random_stable ~seed:33 ~n:6 ~p:1 ~q:2 () in
-  let src = [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.2; offset = 0.1 } |] in
-  List.iter
-    (fun grid ->
-      let ri = Opm.simulate_linear_integral ~grid sys src in
-      let rd = Opm.simulate_linear ~grid sys src in
-      close "integral = differential" 0.0
-        (Mat.max_abs_diff ri.Sim_result.x rd.Sim_result.x)
-        ~tol:1e-10)
-    [ Grid.uniform ~t_end:3.0 ~m:32; Grid.adaptive [| 0.5; 0.2; 0.8; 0.1 |] ]
-
-let test_integral_form_x0 () =
-  let grid = Grid.uniform ~t_end:5.0 ~m:400 in
+let test_x0_spectral_discharge () =
+  (* ẋ = −x, x(0) = 1 in the spectral basis: the x₀ shift enters only the
+     right-hand side, and 16 nodes resolve e^{−t} to near roundoff *)
+  let grid = Grid.uniform ~t_end:4.0 ~m:16 in
   let r =
-    Opm.simulate_linear_integral ~x0:[| 1.0 |] ~grid rc [| Source.Dc 0.0 |]
-  in
-  check_bool "discharge via integral form" true
-    (max_err_against (fun t -> exp (-.t)) r < 1e-4)
-
-(* Regression for the integral entry point's API seam: it used to take
-   no [?backend]/[?health]/[?window], so it silently ran dense and
-   outside the health cascade while every differential entry point
-   honoured them. The full signature must now hold: sparse agrees with
-   dense, the windowed running-sum streaming agrees with the global
-   solve (to roundoff — the coupling is exact), and a health collector
-   sees every column. *)
-let test_integral_form_full_signature () =
-  let sys = Descriptor.random_stable ~seed:44 ~n:6 ~p:1 ~q:1 () in
-  let src =
-    [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.1; offset = 0.2 } |]
-  in
-  let m = 64 in
-  let grid = Grid.uniform ~t_end:3.0 ~m in
-  let x0 = Array.init 6 (fun i -> 0.2 *. float_of_int (i - 3)) in
-  let dense = Opm.simulate_linear_integral ~backend:`Dense ~x0 ~grid sys src in
-  let sparse =
-    Opm.simulate_linear_integral ~backend:`Sparse ~x0 ~grid sys src
-  in
-  close "sparse = dense (integral form)" 0.0
-    (Mat.max_abs_diff dense.Sim_result.x sparse.Sim_result.x)
-    ~tol:1e-9;
-  List.iter
-    (fun w ->
-      let windowed =
-        Opm.simulate_linear_integral ~x0 ~window:w ~grid sys src
-      in
-      close
-        (Printf.sprintf "windowed (w = %d) = global (integral form)" w)
-        0.0
-        (Mat.max_abs_diff windowed.Sim_result.x dense.Sim_result.x)
-        ~tol:1e-10)
-    [ 16; 24 (* short last window *) ];
-  let health = Opm_robust.Health.create () in
-  let r = Opm.simulate_linear_integral ~health ~grid sys src in
-  check_int "health sees every integral column" m
-    (Opm_robust.Health.columns health);
-  check_bool "health report carried on the result" true
-    (match r.Sim_result.health with Some h -> h == health | None -> false)
-
-let test_legendre_solver_spectral () =
-  (* smooth input: a handful of Legendre coefficients beats many block
-     pulses *)
-  let src = [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.2; offset = 0.1 } |] in
-  let t_end = 5.0 in
-  let fine =
-    Opm.simulate_linear ~grid:(Grid.uniform ~t_end ~m:20000) rc src
-  in
-  let wl = Legendre_solver.simulate ~t_end ~m:14 ~sample_count:100 rc src in
-  let err_leg =
-    Error.waveform_error_db
-      ~reference:(Waveform.resample fine.Sim_result.outputs wl.Waveform.times)
-      wl
-  in
-  let rb = Opm.simulate_linear ~grid:(Grid.uniform ~t_end ~m:14) rc src in
-  let err_bpf =
-    Error.waveform_error_db ~reference:fine.Sim_result.outputs
-      rb.Sim_result.outputs
-  in
-  check_bool
-    (Printf.sprintf "legendre %.1f dB far below bpf %.1f dB at m=14" err_leg
-       err_bpf)
-    true
-    (err_leg < err_bpf -. 20.0)
-
-let test_legendre_solver_x0 () =
-  let wl =
-    Legendre_solver.simulate ~x0:[| 1.0 |] ~t_end:4.0 ~m:16 ~sample_count:60 rc
+    Opm.simulate_linear ~basis:`Spectral ~x0:[| 1.0 |] ~grid rc
       [| Source.Dc 0.0 |]
   in
-  let y = Waveform.channel wl 0 in
-  let err = ref 0.0 in
-  Array.iteri
-    (fun i t -> err := Float.max !err (Float.abs (y.(i) -. exp (-.t))))
-    wl.Waveform.times;
-  check_bool "spectral discharge" true (!err < 1e-6)
+  check_bool "spectral discharge" true
+    (max_err_against (fun t -> exp (-.t)) r < 1e-6)
 
 (* ---------- backends and result packaging ---------- *)
 
@@ -1009,11 +926,7 @@ let () =
           t "fractional discharge" test_x0_fractional_discharge;
           t "superposition with x0" test_x0_superposition;
           t "x0 size check" test_x0_size_check;
-          t "integral = differential" test_integral_form_equals_differential;
-          t "integral form with x0" test_integral_form_x0;
-          t "integral form full signature" test_integral_form_full_signature;
-          t "legendre spectral accuracy" test_legendre_solver_spectral;
-          t "legendre with x0" test_legendre_solver_x0;
+          t "spectral with x0" test_x0_spectral_discharge;
         ] );
       ( "api",
         [

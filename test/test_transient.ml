@@ -212,48 +212,6 @@ let test_gl_short_memory () =
     (Vec.max_abs_diff (Waveform.channel whole 0) (Waveform.channel full 0))
     ~tol:1e-14
 
-(* ---------- periodic steady state ---------- *)
-
-let test_periodic_matches_phasor () =
-  (* sine-driven RC: the steady state equals the AC phasor solution *)
-  let f_hz = 0.5 in
-  let w_ang = 2.0 *. Float.pi *. f_hz in
-  let src = [| Source.Sine { amplitude = 1.0; freq_hz = f_hz; phase = 0.0; offset = 0.0 } |] in
-  let w = Periodic.solve ~periods:2 ~period:(1.0 /. f_hz) ~steps_per_period:512 rc src in
-  let y = Waveform.channel w 0 in
-  (* exact steady state: (sin ωt − ω cos ωt)/(1+ω²) *)
-  let err = ref 0.0 in
-  Array.iteri
-    (fun i t ->
-      let exact = ((sin (w_ang *. t)) -. (w_ang *. cos (w_ang *. t))) /. (1.0 +. (w_ang *. w_ang)) in
-      err := Float.max !err (Float.abs (y.(i) -. exact)))
-    w.Waveform.times;
-  check_bool "matches phasor from the first sample" true (!err < 2e-3)
-
-let test_periodic_no_transient () =
-  (* the first and last period must coincide — no start-up transient *)
-  let f_hz = 1.0 in
-  let spp = 128 in
-  let src = [| Source.Sine { amplitude = 1.0; freq_hz = f_hz; phase = 0.4; offset = 0.2 } |] in
-  let w = Periodic.solve ~periods:2 ~period:1.0 ~steps_per_period:spp rc src in
-  let y = Waveform.channel w 0 in
-  let diff = ref 0.0 in
-  for k = 0 to spp - 1 do
-    diff := Float.max !diff (Float.abs (y.(k) -. y.(k + spp)))
-  done;
-  check_bool "periodic from the start" true (!diff < 1e-9)
-
-let test_periodic_beats_transient_simulation () =
-  (* a slow-pole system driven fast: transient simulation needs many
-     periods to settle; the periodic solver is settled immediately *)
-  let slow = Descriptor.scalar ~e:1.0 ~a:(-0.05) ~b:0.05 in
-  let src = [| Source.Sine { amplitude = 1.0; freq_hz = 2.0; phase = 0.0; offset = 1.0 } |] in
-  let w = Periodic.solve ~periods:1 ~period:0.5 ~steps_per_period:256 slow src in
-  let y = Waveform.channel w 0 in
-  (* steady state oscillates around the DC gain of the offset = 1 *)
-  let mean = Array.fold_left ( +. ) 0.0 y /. float_of_int (Array.length y) in
-  check_bool "already centred on the DC level" true (Float.abs (mean -. 1.0) < 0.02)
-
 (* ---------- adaptive trapezoidal ---------- *)
 
 let test_adaptive_trap_accuracy () =
@@ -399,12 +357,6 @@ let () =
           t "short-memory principle" test_gl_short_memory;
           t "cross-check vs OPM" test_gl_vs_opm_cross_check;
           t "scaled matrix hoisted out of loop" test_grunwald_hoisted_scale;
-        ] );
-      ( "periodic",
-        [
-          t "matches phasor" test_periodic_matches_phasor;
-          t "no start-up transient" test_periodic_no_transient;
-          t "slow pole settled immediately" test_periodic_beats_transient_simulation;
         ] );
       ( "adaptive-trap",
         [
