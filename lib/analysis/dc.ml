@@ -2,11 +2,24 @@ open Opm_numkit
 open Opm_sparse
 open Opm_core
 
+(* A singular A rarely meets the factorisation's absolute zero-pivot
+   test: on a floating power grid the last pivot is rounding noise
+   (~1e-17), and the "operating point" is that noise amplified. The
+   condition estimate reads ~1e18 there against ~1e5 on a grounded
+   grid, so anything at or above 1/ε has no unique DC solution. *)
+let factor_nonsingular a =
+  let f = Slu.factor a in
+  let cond = Slu.cond_est f in
+  let limit = 1.0 /. epsilon_float in
+  if not (cond < limit) then
+    Opm_robust.Opm_error.(raise_ (Ill_conditioned { cond; limit; column = None }));
+  f
+
 let operating_point (sys : Descriptor.t) ~u0 =
   let p = Descriptor.input_count sys in
   if Array.length u0 <> p then invalid_arg "Dc.operating_point: u0 size";
   let rhs = Vec.scale (-1.0) (Mat.mul_vec sys.Descriptor.b u0) in
-  Slu.solve_dense sys.Descriptor.a rhs
+  Slu.solve (factor_nonsingular sys.Descriptor.a) rhs
 
 let outputs_at sys ~u0 =
   Mat.mul_vec sys.Descriptor.c (operating_point sys ~u0)
@@ -14,7 +27,7 @@ let outputs_at sys ~u0 =
 let dc_gain (sys : Descriptor.t) =
   let p = Descriptor.input_count sys in
   let q = Descriptor.output_count sys in
-  let f = Slu.factor sys.Descriptor.a in
+  let f = factor_nonsingular sys.Descriptor.a in
   let g = Mat.zeros q p in
   for j = 0 to p - 1 do
     let bj = Array.init (Descriptor.order sys) (fun r -> Mat.get sys.Descriptor.b r j) in

@@ -10,13 +10,16 @@ open Opm_core
     does). *)
 
 val operating_point : Descriptor.t -> u0:Vec.t -> Vec.t
-(** Raises [Invalid_argument] on input-size mismatch and
-    {!Opm_sparse.Slu.Singular} if the system has no unique DC solution
-    (e.g. a floating node or a pure integrator). *)
+(** Raises [Invalid_argument] on input-size mismatch. When the system
+    has no unique DC solution (e.g. a floating node or a pure
+    integrator) it raises {!Opm_sparse.Slu.Singular} if a pivot is
+    exactly zero, and [Opm_robust.Opm_error.Error (Ill_conditioned _)]
+    if [A] is singular to working precision — its condition estimate
+    {!Opm_sparse.Slu.cond_est} reaches [1/ε]. Never a wrong answer. *)
 
 val outputs_at : Descriptor.t -> u0:Vec.t -> Vec.t
 (** [C · operating_point]. *)
 
 val dc_gain : Descriptor.t -> Mat.t
 (** [−C A^{−1} B] — the zero-frequency transfer matrix, column per
-    input. *)
+    input. Raises as {!operating_point} on a singular [A]. *)

@@ -128,8 +128,11 @@ let hqr hess =
             continue_inner := false
           end
           else begin
-            if !its = 30 then raise (No_convergence !nn);
-            if !its = 10 || !its = 20 then begin
+            (* an exceptional shift every 10 iterations breaks the
+               cycles the Francis shift can fall into; EISPACK's cap of
+               30 (shifts at 10 and 20 only) left a benign 8×8 stuck *)
+            if !its = 60 then raise (No_convergence !nn);
+            if !its > 0 && !its mod 10 = 0 then begin
               t := !t +. !x;
               for i = 1 to !nn do
                 a.(i).(i) <- a.(i).(i) -. !x

@@ -13,8 +13,9 @@
     when eigenvectors are deficient). *)
 
 exception No_convergence of int
-(** QR failed to deflate an eigenvalue within the iteration budget; the
-    payload is the stuck index. Practically unreachable for the
+(** QR failed to deflate an eigenvalue within the iteration budget (60
+    sweeps, an exceptional shift every 10); the payload is the stuck
+    index. Practically unreachable for the
     balanced circuit matrices this library produces. *)
 
 val hessenberg : Mat.t -> Mat.t

@@ -295,9 +295,14 @@ let to_text () =
       match i with
       | C c -> Buffer.add_string buf (Printf.sprintf "%-40s %d\n" name (Atomic.get c.count))
       | G g ->
-          Buffer.add_string buf
-            (Printf.sprintf "%-40s last %.6g  min %.6g  max %.6g\n" name
-               (Atomic.get g.last) (Atomic.get g.g_min) (Atomic.get g.g_max))
+          (* any set value, NaN included, moves min off +inf or max off -inf *)
+          if Atomic.get g.g_min = Float.infinity
+             && Atomic.get g.g_max = Float.neg_infinity
+          then Buffer.add_string buf (Printf.sprintf "%-40s (unset)\n" name)
+          else
+            Buffer.add_string buf
+              (Printf.sprintf "%-40s last %.6g  min %.6g  max %.6g\n" name
+                 (Atomic.get g.last) (Atomic.get g.g_min) (Atomic.get g.g_max))
       | H h ->
           let n = histogram_count h in
           if n = 0 then Buffer.add_string buf (Printf.sprintf "%-40s (empty)\n" name)

@@ -98,4 +98,5 @@ val snapshot : unit -> Json.t
 
 val to_text : unit -> string
 (** Flat human-readable dump, one instrument per line, sorted by
-    name. *)
+    name. A gauge not set since creation or the last {!reset} prints
+    [(unset)], a histogram without observations [(empty)]. *)

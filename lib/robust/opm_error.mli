@@ -30,8 +30,9 @@ type t =
       limit : float;  (** threshold that was exceeded *)
       column : int option;
     }
-      (** Reserved for strict modes that promote a condition warning to
-          an error; the engine itself only warns. *)
+      (** A matrix singular to working precision where no answer is
+          acceptable: DC analysis raises it when [A]'s estimate reaches
+          [1/ε]. The transient engine itself only warns. *)
   | Parse_error of { line : int; message : string }
       (** Netlist syntax error (mirror of [Circuit.Parser.Parse_error]
           for uniform rendering). *)

@@ -60,6 +60,9 @@ end
 type symbolic = {
   sn : int;
   sym : int array option;  (* fill-reducing ordering, new -> old *)
+  rsym : int array option;
+      (* row order, new -> old: [sym] after the zero-free-diagonal row
+         matching; physically [sym] when no matching was applied *)
   pinv : int array;  (* permuted row -> pivot position *)
   perm : int array;  (* pivot position -> permuted row *)
   l_ptr : int array;  (* n+1 column pointers into l_idx *)
@@ -139,6 +142,64 @@ let reach ~pinv ~l_ptr ~(l_idx : int_ba) ~marked ~mark ~stack ~top ~dfs_v
     done
   end
 
+(* Zero-free-diagonal row matching (Duff's maximum transversal, after
+   CSparse's cs_maxtrans, with explicit stacks instead of recursion):
+   [Some q] with (q(j), j) an entry of A for every j, or [None] when
+   every row already holds its diagonal or no perfect matching exists.
+   Rows start matched to their own diagonal, so an augmenting path from
+   a diagonal-free row re-matches only the rows along it. An MNA pencil
+   at DC has one such row per inductor; left in place, threshold
+   pivoting is forced off the fill-reducing order at every one. *)
+let row_matching ~n ~row_ptr ~col_ind =
+  let owner = Array.make n (-1) in  (* column -> matched row *)
+  let free = ref [] in
+  for i = n - 1 downto 0 do
+    let k = ref row_ptr.(i) in
+    while !k < row_ptr.(i + 1) && col_ind.(!k) <> i do incr k done;
+    if !k < row_ptr.(i + 1) then owner.(i) <- i else free := i :: !free
+  done;
+  let cheap = Array.sub row_ptr 0 n and visited = Array.make n (-1) in
+  let rows = Array.make n 0 and cols = Array.make n 0 and cur = Array.make n 0 in
+  (* depth-first search for an augmenting path from the free row [r0]:
+     [rows]/[cols]/[cur] hold each level's row, chosen column and cursor *)
+  let augment r0 =
+    let found = ref false and head = ref 0 in
+    rows.(0) <- r0;
+    while !head >= 0 && not !found do
+      let r = rows.(!head) in
+      let lim = row_ptr.(r + 1) in
+      if visited.(r) <> r0 then begin
+        visited.(r) <- r0;
+        (* cheap assignment: an unmatched column in this row ends the path *)
+        let k = ref cheap.(r) in
+        while !k < lim && owner.(col_ind.(!k)) >= 0 do incr k done;
+        cheap.(r) <- !k;
+        if !k < lim then begin
+          cols.(!head) <- col_ind.(!k);
+          found := true
+        end
+        else cur.(!head) <- row_ptr.(r)
+      end;
+      if not !found then begin
+        let k = ref cur.(!head) in
+        while !k < lim && visited.(owner.(col_ind.(!k))) = r0 do incr k done;
+        if !k < lim then begin
+          cur.(!head) <- !k + 1;
+          cols.(!head) <- col_ind.(!k);
+          incr head;
+          rows.(!head) <- owner.(col_ind.(!k))
+        end
+        else decr head
+      end
+    done;
+    if !found then
+      for h = !head downto 0 do
+        owner.(cols.(h)) <- rows.(h)
+      done;
+    !found
+  in
+  if !free <> [] && List.for_all augment !free then Some owner else None
+
 (* Gilbert–Peierls left-looking factorisation with threshold pivoting,
    recording the symbolic structure as it goes. [row_ptr]/[col_ind]
    describe the input pattern in original coordinates, [val_at] fetches
@@ -146,17 +207,45 @@ let reach ~pinv ~l_ptr ~(l_idx : int_ba) ~marked ~mark ~stack ~top ~dfs_v
    CSR view of the same pattern used only to compute the ordering. *)
 let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
     ~norm1 =
+  (* AMD orders the row-matched pattern Q·A (row j of Q·A is row q(j)
+     of A), whose diagonal is the matched entry pivoting keeps. RCM, a
+     bandwidth heuristic, keeps A's own pattern: Q·A's symmetrization
+     widens the band, and on DC grids fill rose 1.3–6× with it. *)
+  let rmatch = row_matching ~n ~row_ptr ~col_ind in
+  let matched () =
+    match rmatch with
+    | None -> pat
+    | Some q ->
+        let p = pat.Csr.row_ptr in
+        let len i = p.(i + 1) - p.(i) in
+        let pick src =
+          Array.concat (List.map (fun i -> Array.sub src p.(i) (len i)) (Array.to_list q))
+        in
+        let row_ptr = Array.make (n + 1) 0 in
+        Array.iteri (fun j i -> row_ptr.(j + 1) <- row_ptr.(j) + len i) q;
+        { pat with
+          Csr.row_ptr; col_ind = pick pat.Csr.col_ind; values = pick pat.Csr.values }
+  in
   let sym =
     match resolve_ordering ordering n with
     | `Natural -> None
     | `Rcm -> Some (Rcm.ordering pat)
-    | `Amd -> Some (Amd.ordering pat)
+    | `Amd -> Some (Amd.ordering (matched ()))
+  in
+  let rsym =
+    match (rmatch, sym) with
+    | None, _ -> sym
+    | Some q, None -> Some q
+    | Some q, Some p -> Some (Array.map (fun j -> q.(j)) p)
   in
   (* permuted CSC with source indices: entry (i, j) of A lands in column
-     psym(j) as row psym(i), remembering where its value lives *)
-  let psym =
-    match sym with None -> Array.init n Fun.id | Some p -> Rcm.inverse p
+     psym(j) as row prow(i), remembering where its value lives *)
+  let inverse = function
+    | None -> Array.init n Fun.id
+    | Some p -> Rcm.inverse p
   in
+  let psym = inverse sym in
+  let prow = if rsym == sym then psym else inverse rsym in
   let nnz = row_ptr.(n) in
   let at_ptr = Array.make (n + 1) 0 in
   let at_idx = Array.make nnz 0 in
@@ -172,7 +261,7 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
   done;
   let cursor = Array.copy at_ptr in
   for i = 0 to n - 1 do
-    let i' = psym.(i) in
+    let i' = prow.(i) in
     for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
       let j' = psym.(col_ind.(k)) in
       at_idx.(cursor.(j')) <- i';
@@ -194,7 +283,7 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
       let a = Float.abs (val_at k) in
       if a > !m then m := a
     done;
-    if !m > 0.0 then Ba.Array1.set rscale psym.(i) (1.0 /. !m)
+    if !m > 0.0 then Ba.Array1.set rscale prow.(i) (1.0 /. !m)
   done;
   let l_ptr = Array.make (n + 1) 0 in
   let u_ptr = Array.make (n + 1) 0 in
@@ -301,6 +390,7 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
     {
       sn = n;
       sym;
+      rsym;
       pinv;
       perm;
       l_ptr;
@@ -424,7 +514,7 @@ let refactor ?(stability_tol = 0.01) s (a : Csr.t) =
   let rscale = Ba.Array1.create Ba.float64 Ba.c_layout n in
   Ba.Array1.fill rscale 1.0;
   for j' = 0 to n - 1 do
-    let i = orig j' in
+    let i = match s.rsym with Some p -> p.(j') | None -> j' in
     let m = ref 0.0 in
     for k = s.p_row_ptr.(i) to s.p_row_ptr.(i + 1) - 1 do
       let a = Float.abs values.(k) in
@@ -530,17 +620,23 @@ let solve_inner f b =
   done;
   x
 
-let solve_unlogged f b =
-  if Array.length b <> f.s.sn then invalid_arg "Slu.solve: dimension mismatch";
-  match f.s.sym with
-  | None -> solve_inner f b
+(* A' = Πr A Πcᵀ with (Πr z)(i) = z(rsym(i)) and (Πc z)(i) = z(sym(i)):
+   A x = b is A'(Πc x) = Πr b, and Aᵀ x = b is A'ᵀ(Πr x) = Πc b, so the
+   rhs is read through one map and the solution written through the other *)
+let permuted inner ~rin ~cout f b =
+  let n = f.s.sn in
+  let b' = match rin with None -> b | Some p -> Array.init n (fun i -> b.(p.(i))) in
+  let x' = inner f b' in
+  match cout with
+  | None -> x'
   | Some p ->
-      (* A' = P A Pᵀ with (Pz)(i) = z(p(i)): solve A'(Px) = Pb *)
-      let b' = Array.init f.s.sn (fun i -> b.(p.(i))) in
-      let x' = solve_inner f b' in
-      let x = Array.make f.s.sn 0.0 in
+      let x = Array.make n 0.0 in
       Array.iteri (fun i v -> x.(p.(i)) <- v) x';
       x
+
+let solve_unlogged f b =
+  if Array.length b <> f.s.sn then invalid_arg "Slu.solve: dimension mismatch";
+  permuted solve_inner ~rin:f.s.rsym ~cout:f.s.sym f b
 
 let solve f b =
   Metrics.incr m_solve;
@@ -586,15 +682,7 @@ let solve_transpose_inner f b =
 let solve_transpose f b =
   if Array.length b <> f.s.sn then
     invalid_arg "Slu.solve_transpose: dimension mismatch";
-  match f.s.sym with
-  | None -> solve_transpose_inner f b
-  | Some p ->
-      (* A' = P A Pᵀ ⇒ A'ᵀ = P Aᵀ Pᵀ: same permutation sandwich as solve *)
-      let b' = Array.init f.s.sn (fun i -> b.(p.(i))) in
-      let x' = solve_transpose_inner f b' in
-      let x = Array.make f.s.sn 0.0 in
-      Array.iteri (fun i v -> x.(p.(i)) <- v) x';
-      x
+  permuted solve_transpose_inner ~rin:f.s.sym ~cout:f.s.rsym f b
 
 let cond_est f =
   match f.cond1 with

@@ -13,7 +13,7 @@ open Opm_numkit
     the already-computed [L] (the classic GP reach), so the work is
     proportional to arithmetic operations, not to [n].
 
-    Fill is controlled three ways: a symmetric fill-reducing reordering
+    Fill is controlled four ways: a symmetric fill-reducing reordering
     ({!Amd} at paper scale, {!Rcm} for small bandwidth-friendly systems,
     picked by the [`Auto] heuristic); *threshold* pivoting — the
     diagonal candidate is kept whenever its magnitude is within
@@ -24,7 +24,14 @@ open Opm_numkit
     inductor-current row's [L/h] next to ±1 incidence entries) still
     keeps its diagonal pivots. Solves compensate for [R], so the API
     is exactly [A x = b]; the scale is recomputed from the values on
-    every {!refactor}, preserving the bit-identity contract.
+    every {!refactor}, preserving the bit-identity contract. Last, a
+    KLU-style *row matching* (Duff's maximum transversal) when some row
+    lacks its diagonal — the inductive vias of a DC pencil: rows are
+    permuted to a zero-free diagonal before {!Amd} orders the matched
+    pattern, so pivoting never has to leave the order for want of a
+    diagonal (DC 24×24×2 grid: fill 14.8× → 5.5×). The matching is
+    structural, kept in {!symbolic}, and skipped — arithmetic unchanged
+    bit for bit — when every diagonal is present or none exists.
 
     The [⌈m⌉] pencils [d_ii·E − A] of one OPM solve share one sparsity
     pattern and differ only in values, so the symbolic work — ordering,

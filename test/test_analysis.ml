@@ -62,6 +62,74 @@ let test_dc_u0_mismatch () =
        false
      with Invalid_argument _ -> true)
 
+(* A 3×3×2 power grid with standby loads and no supply pad has no DC
+   path to ground: A is singular, yet its last pivot is rounding noise
+   (~1e-17) rather than zero. DC must refuse it, not print ~1e9 V. *)
+let floating_grid ~pad =
+  let spec =
+    {
+      Power_grid.default_spec with
+      nx = 3;
+      ny = 3;
+      nz = 2;
+      load_count = 2;
+      load =
+        Source.Pulse
+          { low = 0.2e-3; high = 1e-3; delay = 20e-12; width = 50e-12; period = 100e-12 };
+    }
+  in
+  let net = Power_grid.generate spec in
+  if pad then
+    Netlist.add net
+      (Netlist.r "Rpad" (Power_grid.node_name ~x:1 ~y:1 ~z:1) "0" 0.05);
+  net
+
+let raises_ill_conditioned name f =
+  match f () with
+  | _ -> Alcotest.fail (name ^ ": expected an ill-conditioned error")
+  | exception
+      Opm_robust.Opm_error.Error (Opm_robust.Opm_error.Ill_conditioned { cond; limit; _ })
+    ->
+      check_bool
+        (Printf.sprintf "%s: cond %.3g >= 1/eps" name cond)
+        true
+        (cond >= limit && limit = 1.0 /. epsilon_float)
+
+let test_dc_floating_grid () =
+  let stamp net =
+    let sys, srcs = Mna.stamp_linear net in
+    (sys, Array.map (fun s -> Source.eval s 0.0) srcs)
+  in
+  let sys, u0 = stamp (floating_grid ~pad:false) in
+  raises_ill_conditioned "operating_point" (fun () -> Dc.operating_point sys ~u0);
+  raises_ill_conditioned "dc_gain" (fun () -> Dc.dc_gain sys);
+  (* one pad to ground makes it well posed: no false alarm *)
+  let sys, u0 = stamp (floating_grid ~pad:true) in
+  let x = Dc.operating_point sys ~u0 in
+  let r =
+    Vec.add (Opm_sparse.Csr.mul_vec sys.Descriptor.a x)
+      (Mat.mul_vec sys.Descriptor.b u0)
+  in
+  check_bool "grounded grid: A x = -B u0" true (Vec.norm_inf r < 1e-12)
+
+(* the CLI maps the error to exit status 1 and prints no value *)
+let test_dc_floating_grid_cli () =
+  let sp = Filename.temp_file "floating_grid" ".sp" in
+  let out = Filename.temp_file "floating_grid" ".out" in
+  Out_channel.with_open_text sp (fun oc ->
+      output_string oc (Netlist.to_string (floating_grid ~pad:false)));
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/opm_sim.exe"
+         [ sp; "--mode"; "dc"; "--probe"; Power_grid.node_name ~x:0 ~y:0 ~z:0 ]
+         ~stdout:out ~stderr:Filename.null)
+  in
+  let printed = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove sp;
+  Sys.remove out;
+  Alcotest.(check int) "exit status" 1 code;
+  Alcotest.(check string) "nothing printed" "" printed
+
 (* ---------- AC ---------- *)
 
 let test_ac_rc_pole () =
@@ -298,6 +366,8 @@ let () =
           t "inductor is a short" test_dc_inductor_short;
           t "vcvs amplifier" test_dc_vcvs_amplifier;
           t "vccs transresistance" test_dc_vccs_transresistance;
+          t "floating grid refused" test_dc_floating_grid;
+          t "floating grid cli exit 1" test_dc_floating_grid_cli;
           t "u0 mismatch" test_dc_u0_mismatch;
         ] );
       ( "ac",

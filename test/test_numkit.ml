@@ -290,27 +290,35 @@ let test_eig_hessenberg_form () =
   in
   close "trace preserved" (tr a) (tr h) ~tol:1e-10
 
+let eig_trace_det_hold (n, seed) =
+  let st = Random.State.make [| seed |] in
+  let a =
+    Mat.init n n (fun i j ->
+        (if i = j then 3.0 else 0.0) +. Random.State.float st 2.0 -. 1.0)
+  in
+  let e = Eig.eigenvalues a in
+  let tr = ref 0.0 in
+  for i = 0 to n - 1 do
+    tr := !tr +. Mat.get a i i
+  done;
+  let sum = Array.fold_left (fun acc z -> acc +. z.Complex.re) 0.0 e in
+  let prod = Array.fold_left Complex.mul Complex.one e in
+  let det = Lu.det (Lu.factor a) in
+  Float.abs (sum -. !tr) < 1e-7 *. Float.max 1.0 (Float.abs !tr)
+  && Float.abs (prod.Complex.re -. det) < 1e-6 *. Float.max 1.0 (Float.abs det)
+  && Float.abs prod.Complex.im < 1e-6 *. Float.max 1.0 (Float.abs det)
+
 let prop_eig_trace_det =
   QCheck.Test.make ~count:25
     ~name:"eig: Σλ = trace and Πλ = det on random matrices"
     QCheck.(pair (int_range 2 12) (int_range 0 1000))
-    (fun (n, seed) ->
-      let st = Random.State.make [| seed |] in
-      let a =
-        Mat.init n n (fun i j ->
-            (if i = j then 3.0 else 0.0) +. Random.State.float st 2.0 -. 1.0)
-      in
-      let e = Eig.eigenvalues a in
-      let tr = ref 0.0 in
-      for i = 0 to n - 1 do
-        tr := !tr +. Mat.get a i i
-      done;
-      let sum = Array.fold_left (fun acc z -> acc +. z.Complex.re) 0.0 e in
-      let prod = Array.fold_left Complex.mul Complex.one e in
-      let det = Lu.det (Lu.factor a) in
-      Float.abs (sum -. !tr) < 1e-7 *. Float.max 1.0 (Float.abs !tr)
-      && Float.abs (prod.Complex.re -. det) < 1e-6 *. Float.max 1.0 (Float.abs det)
-      && Float.abs prod.Complex.im < 1e-6 *. Float.max 1.0 (Float.abs det))
+    eig_trace_det_hold
+
+(* the one input of the property above on which QR with exceptional
+   shifts at iterations 10 and 20 only, capped at 30, did not converge *)
+let test_eig_exceptional_shift () =
+  check_bool "(8, 731) converges with Σλ = trace, Πλ = det" true
+    (eig_trace_det_hold (8, 731))
 
 let test_spectral_abscissa () =
   let a = Mat.of_arrays [| [| -2.0; 1.0 |]; [| 0.0; -5.0 |] |] in
@@ -675,6 +683,7 @@ let () =
           t "companion roots" test_eig_companion_roots;
           t "hessenberg form" test_eig_hessenberg_form;
           t "spectral abscissa" test_spectral_abscissa;
+          t "exceptional shift (8, 731)" test_eig_exceptional_shift;
           q prop_eig_trace_det;
         ] );
       ( "expm",

@@ -136,6 +136,23 @@ let test_timers () =
     (Float.is_finite (Metrics.histogram_sum h)
     && Metrics.histogram_sum h >= 0.0)
 
+let test_gauge_text () =
+  fresh ();
+  Metrics.set_enabled true;
+  let g = Metrics.gauge "test.gauge" in
+  let line () =
+    String.split_on_char '\n' (Metrics.to_text ())
+    |> List.find (fun l -> String.starts_with ~prefix:"test.gauge " l)
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+    |> String.concat " "
+  in
+  check_string "never set" "test.gauge (unset)" (line ());
+  Metrics.set_gauge g 2.5;
+  check_string "set" "test.gauge last 2.5 min 2.5 max 2.5" (line ());
+  Metrics.reset ();
+  check_string "unset again after reset" "test.gauge (unset)" (line ())
+
 (* ---------- Trace ---------- *)
 
 let test_trace_spans () =
@@ -281,6 +298,7 @@ let () =
           Alcotest.test_case "histogram bucket layout" `Quick
             test_histogram_buckets;
           Alcotest.test_case "timers and laps" `Quick test_timers;
+          Alcotest.test_case "gauge text (unset)" `Quick test_gauge_text;
         ] );
       ( "trace",
         [ Alcotest.test_case "nested spans + chrome json" `Quick test_trace_spans ]

@@ -461,6 +461,93 @@ let test_solve_many_matches_map () =
       check_bool "explicit pool bit-identical" true
         (Slu.solve_many ~pool f bs = seq))
 
+(* ---------- zero-free-diagonal row matching ---------- *)
+
+(* The DC pencil A of a 12×12×2 grid grounded through pad resistors:
+   n = 432, of which 144 inductive-via current rows (v_a − v_b = 0)
+   carry no diagonal entry. *)
+let dc_grid_pencil () =
+  let nx = 12 and ny = 12 in
+  let spec = { Opm_circuit.Power_grid.default_spec with nx; ny; nz = 2 } in
+  let net = Opm_circuit.Power_grid.generate spec in
+  for x = 0 to nx - 1 do
+    for y = 0 to ny - 1 do
+      if x mod 3 = 1 && y mod 3 = 1 then
+        Opm_circuit.Netlist.add net
+          (Opm_circuit.Netlist.r
+             (Printf.sprintf "Rpad%d_%d" x y)
+             (Opm_circuit.Power_grid.node_name ~x ~y ~z:1)
+             "0" 0.05)
+    done
+  done;
+  (fst (Opm_circuit.Mna.stamp_linear net)).Opm_core.Descriptor.a
+
+let diagonal_free_rows a =
+  let n, _ = Csr.dims a in
+  List.filter (fun i -> Csr.get a i i = 0.0) (List.init n Fun.id)
+
+let rel_diff x y = Vec.max_abs_diff x y /. Vec.norm_inf y
+
+(* fill nnz(L+U)/nnz(A) without the matching (threshold pivoting forced
+   off the order at every via row): 5.99× under `Amd, 36.02× under
+   `Natural; with it 3.89× and 24.74× *)
+let test_matching_vs_dense () =
+  let a = dc_grid_pencil () in
+  let n, _ = Csr.dims a in
+  check_int "via rows without a diagonal" 144
+    (List.length (diagonal_free_rows a));
+  let d = Csr.to_dense a in
+  let lu = Lu.factor d in
+  let b = Array.init n (fun i -> sin (float_of_int (i + 1))) in
+  List.iter
+    (fun (name, ord, fill_bound) ->
+      let f = Slu.factor ~ordering:ord a in
+      let fill = float_of_int (Slu.nnz_factors f) /. float_of_int (Csr.nnz a) in
+      check_bool
+        (Printf.sprintf "%s: fill %.2fx below %.1fx" name fill fill_bound)
+        true (fill < fill_bound);
+      check_bool (name ^ ": solve = dense LU to 1e-10") true
+        (rel_diff (Slu.solve f b) (Lu.solve lu b) < 1e-10);
+      check_bool (name ^ ": solve_transpose = dense LU to 1e-10") true
+        (rel_diff (Slu.solve_transpose f b) (Lu.solve_transpose lu b) < 1e-10);
+      let c = Slu.cond_est f and c_dense = Lu.cond_est lu in
+      check_bool
+        (Printf.sprintf "%s: cond_est %.4g ~ dense %.4g" name c c_dense)
+        true
+        (Float.abs (c -. c_dense) < 0.1 *. c_dense))
+    [ ("amd", `Amd, 4.5); ("natural", `Natural, 30.0) ]
+
+let test_matching_refactor_bit_identical () =
+  let a = dc_grid_pencil () in
+  let n, _ = Csr.dims a in
+  let b = Array.init n (fun i -> cos (float_of_int (3 * i))) in
+  List.iter
+    (fun (name, ord) ->
+      let s, f0 = Slu.analyze ~ordering:ord a in
+      let f1 = Slu.refactor s a in
+      check_bool (name ^ ": refactor solve = analyze solve, bit for bit") true
+        (Slu.solve f1 b = Slu.solve f0 b);
+      check_bool (name ^ ": transpose solves bit for bit") true
+        (Slu.solve_transpose f1 b = Slu.solve_transpose f0 b))
+    [ ("amd", `Amd); ("natural", `Natural) ]
+
+(* emptying one via unknown's row and column leaves no perfect matching:
+   the factorisation takes the unmatched path and names that unknown *)
+let test_matching_structurally_singular () =
+  let a = dc_grid_pencil () in
+  let k = List.hd (diagonal_free_rows a) in
+  let d = Csr.to_dense a in
+  let n, _ = Csr.dims a in
+  let cut =
+    Csr.of_dense (Mat.init n n (fun i j -> if i = k || j = k then 0.0 else Mat.get d i j))
+  in
+  List.iter
+    (fun (name, ord) ->
+      match Slu.factor ~ordering:ord cut with
+      | _ -> Alcotest.fail (name ^ ": expected Singular")
+      | exception Slu.Singular j -> check_int (name ^ " names the via unknown") k j)
+    [ ("amd", `Amd); ("natural", `Natural) ]
+
 (* Bigarray-backed storage must agree with the array-backed ops to the
    last bit *)
 
@@ -598,6 +685,13 @@ let () =
           t "singular named under amd" test_refactor_singular_named;
           t "unstable + hinted fallback" test_refactor_unstable_and_hint_fallback;
           t "solve_many bit-identical" test_solve_many_matches_map;
+        ] );
+      ( "matching",
+        [
+          t "dc grid: solves and fill vs dense" test_matching_vs_dense;
+          t "dc grid: refactor bit-identical"
+            test_matching_refactor_bit_identical;
+          t "structurally singular named" test_matching_structurally_singular;
         ] );
       ( "bcsr",
         [
