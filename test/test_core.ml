@@ -920,7 +920,7 @@ let () =
           t "companion rejects fractional" test_companion_rejects_fractional;
           t "input derivative" test_input_derivative_handling;
         ] );
-      ( "x0",
+      ( "x0-and-integral-form",
         [
           t "linear discharge" test_x0_discharge;
           t "fractional discharge" test_x0_fractional_discharge;
