@@ -14,8 +14,9 @@ val operating_point : Descriptor.t -> u0:Vec.t -> Vec.t
     has no unique DC solution (e.g. a floating node or a pure
     integrator) it raises {!Opm_sparse.Slu.Singular} if a pivot is
     exactly zero, and [Opm_robust.Opm_error.Error (Ill_conditioned _)]
-    if [A] is singular to working precision — its condition estimate
-    {!Opm_sparse.Slu.cond_est} reaches [1/ε]. Never a wrong answer. *)
+    if [A] is singular to working precision — the 1-norm condition
+    estimate of the row-equilibrated [R·A], [R = diag(1/max|row|)],
+    reaches [1/ε]. Never a wrong answer. *)
 
 val outputs_at : Descriptor.t -> u0:Vec.t -> Vec.t
 (** [C · operating_point]. *)

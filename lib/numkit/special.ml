@@ -102,7 +102,7 @@ let lgamma_abs g =
 (* E_{α,β}(z) by its power series with Kahan summation; the terms
    z^k / Γ(αk+β) are computed in log space to dodge overflow *)
 let ml_series ~alpha ~beta z =
-  let max_terms = 10_000 in
+  let max_terms = 500 in
   let sum = ref 0.0 and comp = ref 0.0 in
   let add v =
     let y = v -. !comp in
@@ -133,54 +133,6 @@ let ml_series ~alpha ~beta z =
   done;
   !sum
 
-(* Gauss–Kronrod (7, 15) nodes and weights on [−1, 1] (QUADPACK qk15);
-   the Gauss weights belong to the odd-indexed nodes *)
-let gk_nodes =
-  [| 0.991455371120812639206854697526329; 0.949107912342758524526189684047851;
-     0.864864423359769072789712788640926; 0.741531185599394439863864773280788;
-     0.586087235467691130294144845693013; 0.405845151377397166906606412076961;
-     0.207784955007898467600689403773245; 0.0 |]
-
-let kronrod_weights =
-  [| 0.022935322010529224963732008058970; 0.063092092629978553290700663189204;
-     0.104790010322250183839876322541518; 0.140653259715525918745189590510238;
-     0.169004726639267902826583426598550; 0.190350578064785409913256402421014;
-     0.204432940075298892414161999234649; 0.209482141084727828012999174891714 |]
-
-let gauss_weights =
-  [| 0.129484966168869693270611432679082; 0.279705391489276667901467771423780;
-     0.381830050505118944950369775488975; 0.417959183673469387755102040816327 |]
-
-(* ∫_a^b f by adaptive bisection: a panel is accepted once its Kronrod
-   and Gauss sums agree to its share of [tol], or to rounding of the
-   panel's own magnitude; at most 2000 panels are split *)
-let integrate f a b tol =
-  let splits = ref 0 in
-  let rec panel a b tol =
-    let half = 0.5 *. (b -. a) and mid = 0.5 *. (a +. b) in
-    let fc = f mid in
-    let kronrod = ref (kronrod_weights.(7) *. fc)
-    and gauss = ref (gauss_weights.(3) *. fc)
-    and mag = ref (kronrod_weights.(7) *. Float.abs fc) in
-    for i = 0 to 6 do
-      let lo = f (mid -. (half *. gk_nodes.(i)))
-      and hi = f (mid +. (half *. gk_nodes.(i))) in
-      kronrod := !kronrod +. (kronrod_weights.(i) *. (lo +. hi));
-      mag := !mag +. (kronrod_weights.(i) *. (Float.abs lo +. Float.abs hi));
-      if i land 1 = 1 then gauss := !gauss +. (gauss_weights.(i / 2) *. (lo +. hi))
-    done;
-    let k = half *. !kronrod in
-    let err = Float.abs (k -. (half *. !gauss)) in
-    if err <= tol || err <= 50.0 *. epsilon_float *. Float.abs half *. !mag
-       || !splits >= 2000
-    then k
-    else begin
-      incr splits;
-      panel a mid (0.5 *. tol) +. panel mid b (0.5 *. tol)
-    end
-  in
-  panel a b tol
-
 (* asymptotic expansion for z → −∞, 0 < α < 2:
    E_{α,β}(z) ≈ − Σ_{k=1}^{K} z^{−k} / Γ(β − αk) *)
 let ml_asymptotic ~alpha ~beta z =
@@ -201,49 +153,13 @@ let ml_asymptotic ~alpha ~beta z =
    with Exit -> ());
   !sum
 
-(* E_{α,β}(−x), 0 < α < 1, by the contour integral of Gorenflo, Loutchko
-   and Luchko (2002): rays arg ζ = ±απ from radius ε outwards (the K
-   part, here in u = χ^{1/α}) plus the arc |ζ| = ε (the P part) *)
-let ml_contour ~alpha ~beta z =
-  let eps = Float.min 1.0 (-0.5 *. z) in
-  let s1 = sin (Float.pi *. (1.0 -. beta))
-  and s2 = sin (Float.pi *. (1.0 -. beta +. alpha))
-  and c = cos (Float.pi *. alpha) in
-  let k_part u =
-    let chi = u ** alpha in
-    (u ** (alpha -. beta)) *. exp (-.u) *. ((chi *. s1) -. (z *. s2))
-    /. ((chi *. chi) -. (2.0 *. chi *. z *. c) +. (z *. z))
-    /. Float.pi
-  in
-  let r = eps ** (1.0 /. alpha) and p = 1.0 +. ((1.0 -. beta) /. alpha) in
-  let p_part phi =
-    let w = (phi *. p) +. (r *. sin (phi /. alpha)) in
-    let dr = (eps *. cos phi) -. z and di = eps *. sin phi in
-    (eps ** p) *. exp (r *. cos (phi /. alpha))
-    *. ((cos w *. dr) +. (sin w *. di))
-    /. ((dr *. dr) +. (di *. di))
-    /. (alpha *. Float.pi)
-  in
-  let tol = 1e-16 and u_end = r +. 50.0 in
-  (* for α > 1/2 the rays pass within x·sin(απ) of z: split there *)
-  let peak = (-.z *. Float.abs c) ** (1.0 /. alpha) in
-  let rays =
-    if c < 0.0 && peak > r && peak < u_end then
-      integrate k_part r peak tol +. integrate k_part peak u_end tol
-    else integrate k_part r u_end tol
-  in
-  rays +. integrate p_part 0.0 (alpha *. Float.pi) tol
-
 let mittag_leffler ?(beta = 1.0) ~alpha z =
   if alpha <= 0.0 then invalid_arg "Special.mittag_leffler: alpha <= 0";
-  (* the power series for negative z cancels like exp(|z|^{1/α}); past
-     exp(10) that eats the double precision, so switch to the contour
-     integral (α < 1), and past exp(20) to the asymptotic expansion *)
+  (* the power series for negative z cancels like exp(|z|^{1/α}); switch
+     to the asymptotic expansion before that eats the double precision *)
   let cancellation = if z < 0.0 then Float.abs z ** (1.0 /. alpha) else 0.0 in
   if z < 0.0 && alpha < 2.0 && cancellation > 20.0 then
     ml_asymptotic ~alpha ~beta z
-  else if z < 0.0 && alpha < 1.0 && cancellation > 10.0 then
-    ml_contour ~alpha ~beta z
   else ml_series ~alpha ~beta z
 
 let ml_relaxation ~alpha ~lambda t =

@@ -29,10 +29,9 @@ val gammq : float -> float -> float
 val mittag_leffler : ?beta:float -> alpha:float -> float -> float
 (** [mittag_leffler ~alpha z] is [E_{α,β}(z) = Σ_k z^k / Γ(αk + β)]
     (default [β = 1]), for real [z]. Power series with compensated
-    summation for moderate [|z|]; for negative [z] with [0 < α < 1] the
-    Gorenflo–Loutchko–Luchko contour integral once [|z|^{1/α} > 10],
-    and the asymptotic expansion past [|z|^{1/α} > 20] ([0 < α < 2]).
-    Raises [Invalid_argument] for [alpha <= 0]. *)
+    summation for moderate [|z|]; asymptotic expansion for large negative
+    arguments with [0 < α < 1]. Raises [Invalid_argument] for
+    [alpha <= 0]. *)
 
 val ml_relaxation : alpha:float -> lambda:float -> float -> float
 (** [ml_relaxation ~alpha ~lambda t] is [E_α(−λ t^α)] — the solution of

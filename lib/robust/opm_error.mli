@@ -31,8 +31,8 @@ type t =
       column : int option;
     }
       (** A matrix singular to working precision where no answer is
-          acceptable: DC analysis raises it when [A]'s estimate reaches
-          [1/ε]. The transient engine itself only warns. *)
+          acceptable: DC analysis raises it when the estimate for the
+          row-equilibrated [A] reaches [1/ε]. The transient engine itself only warns. *)
   | Parse_error of { line : int; message : string }
       (** Netlist syntax error (mirror of [Circuit.Parser.Parse_error]
           for uniform rendering). *)

@@ -60,9 +60,7 @@ end
 type symbolic = {
   sn : int;
   sym : int array option;  (* fill-reducing ordering, new -> old *)
-  rsym : int array option;
-      (* row order, new -> old: [sym] after the zero-free-diagonal row
-         matching; physically [sym] when no matching was applied *)
+  rsym : int array option;  (* row order, new -> old; [== sym] unmatched *)
   pinv : int array;  (* permuted row -> pivot position *)
   perm : int array;  (* pivot position -> permuted row *)
   l_ptr : int array;  (* n+1 column pointers into l_idx *)
@@ -142,14 +140,12 @@ let reach ~pinv ~l_ptr ~(l_idx : int_ba) ~marked ~mark ~stack ~top ~dfs_v
     done
   end
 
-(* Zero-free-diagonal row matching (Duff's maximum transversal, after
-   CSparse's cs_maxtrans, with explicit stacks instead of recursion):
-   [Some q] with (q(j), j) an entry of A for every j, or [None] when
-   every row already holds its diagonal or no perfect matching exists.
-   Rows start matched to their own diagonal, so an augmenting path from
-   a diagonal-free row re-matches only the rows along it. An MNA pencil
-   at DC has one such row per inductor; left in place, threshold
-   pivoting is forced off the fill-reducing order at every one. *)
+(* Zero-free-diagonal row matching (Duff's maximum transversal after
+   CSparse's cs_maxtrans, explicit stacks): [Some q] with (q(j), j) in A
+   for every j, or [None] when every row holds its diagonal or no perfect
+   matching exists. Rows start on their own diagonal, so an augmenting
+   path from a diagonal-free row (MNA: a voltage-source or VCVS branch;
+   an inductor at DC) re-matches only the rows along it. *)
 let row_matching ~n ~row_ptr ~col_ind =
   let owner = Array.make n (-1) in  (* column -> matched row *)
   let free = ref [] in
@@ -207,43 +203,41 @@ let row_matching ~n ~row_ptr ~col_ind =
    CSR view of the same pattern used only to compute the ordering. *)
 let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
     ~norm1 =
-  (* AMD orders the row-matched pattern Q·A (row j of Q·A is row q(j)
-     of A), whose diagonal is the matched entry pivoting keeps. RCM, a
-     bandwidth heuristic, keeps A's own pattern: Q·A's symmetrization
-     widens the band, and on DC grids fill rose 1.3–6× with it. *)
+  (* AMD orders the row-matched pattern Q·A (row j is row q(j) of A),
+     whose diagonal is the matched entry pivoting keeps. RCM keeps A's
+     pattern: on Q·A its band widened and DC-grid fill rose 1.3–6×. *)
   let rmatch = row_matching ~n ~row_ptr ~col_ind in
-  let matched () =
-    match rmatch with
-    | None -> pat
-    | Some q ->
-        let p = pat.Csr.row_ptr in
-        let len i = p.(i + 1) - p.(i) in
-        let pick src =
-          Array.concat (List.map (fun i -> Array.sub src p.(i) (len i)) (Array.to_list q))
-        in
-        let row_ptr = Array.make (n + 1) 0 in
-        Array.iteri (fun j i -> row_ptr.(j + 1) <- row_ptr.(j) + len i) q;
-        { pat with
-          Csr.row_ptr; col_ind = pick pat.Csr.col_ind; values = pick pat.Csr.values }
-  in
   let sym =
     match resolve_ordering ordering n with
     | `Natural -> None
     | `Rcm -> Some (Rcm.ordering pat)
-    | `Amd -> Some (Amd.ordering (matched ()))
+    | `Amd ->
+        let pat =
+          match rmatch with
+          | None -> pat
+          | Some q ->
+              let p = pat.Csr.row_ptr in
+              let row_ptr = Array.make (n + 1) 0 in
+              let col_ind = Array.make p.(n) 0 and values = Array.make p.(n) 0.0 in
+              Array.iteri
+                (fun j i ->
+                  let len = p.(i + 1) - p.(i) in
+                  Array.blit pat.Csr.col_ind p.(i) col_ind row_ptr.(j) len;
+                  Array.blit pat.Csr.values p.(i) values row_ptr.(j) len;
+                  row_ptr.(j + 1) <- row_ptr.(j) + len)
+                q;
+              { pat with Csr.row_ptr; col_ind; values }
+        in
+        Some (Amd.ordering pat)
   in
   let rsym =
-    match (rmatch, sym) with
-    | None, _ -> sym
-    | Some q, None -> Some q
-    | Some q, Some p -> Some (Array.map (fun j -> q.(j)) p)
+    match rmatch with
+    | None -> sym
+    | Some q -> Some (match sym with None -> q | Some p -> Array.map (Array.get q) p)
   in
   (* permuted CSC with source indices: entry (i, j) of A lands in column
      psym(j) as row prow(i), remembering where its value lives *)
-  let inverse = function
-    | None -> Array.init n Fun.id
-    | Some p -> Rcm.inverse p
-  in
+  let inverse = function None -> Array.init n Fun.id | Some p -> Rcm.inverse p in
   let psym = inverse sym in
   let prow = if rsym == sym then psym else inverse rsym in
   let nnz = row_ptr.(n) in

@@ -26,12 +26,13 @@ open Opm_numkit
     is exactly [A x = b]; the scale is recomputed from the values on
     every {!refactor}, preserving the bit-identity contract. Last, a
     KLU-style *row matching* (Duff's maximum transversal) when some row
-    lacks its diagonal — the inductive vias of a DC pencil: rows are
-    permuted to a zero-free diagonal before {!Amd} orders the matched
-    pattern, so pivoting never has to leave the order for want of a
-    diagonal (DC 24×24×2 grid: fill 14.8× → 5.5×). The matching is
-    structural, kept in {!symbolic}, and skipped — arithmetic unchanged
-    bit for bit — when every diagonal is present or none exists.
+    lacks its diagonal — a voltage-source or VCVS branch in every
+    pencil, an inductor at DC: rows are permuted to a zero-free
+    diagonal before {!Amd} orders the matched pattern, so pivoting
+    never has to leave the order for want of a diagonal (DC 24×24×2
+    grid: fill 14.8× → 5.5×). The matching is structural, kept in
+    {!symbolic}, and skipped — arithmetic unchanged bit for bit — when
+    every diagonal is present or no perfect matching exists.
 
     The [⌈m⌉] pencils [d_ii·E − A] of one OPM solve share one sparsity
     pattern and differ only in values, so the symbolic work — ordering,

@@ -65,7 +65,7 @@ let test_dc_u0_mismatch () =
 (* A 3×3×2 power grid with standby loads and no supply pad has no DC
    path to ground: A is singular, yet its last pivot is rounding noise
    (~1e-17) rather than zero. DC must refuse it, not print ~1e9 V. *)
-let floating_grid ~pad =
+let floating_grid ?(pad_r = 0.05) ~pad () =
   let spec =
     {
       Power_grid.default_spec with
@@ -81,7 +81,7 @@ let floating_grid ~pad =
   let net = Power_grid.generate spec in
   if pad then
     Netlist.add net
-      (Netlist.r "Rpad" (Power_grid.node_name ~x:1 ~y:1 ~z:1) "0" 0.05);
+      (Netlist.r "Rpad" (Power_grid.node_name ~x:1 ~y:1 ~z:1) "0" pad_r);
   net
 
 let raises_ill_conditioned name f =
@@ -100,11 +100,11 @@ let test_dc_floating_grid () =
     let sys, srcs = Mna.stamp_linear net in
     (sys, Array.map (fun s -> Source.eval s 0.0) srcs)
   in
-  let sys, u0 = stamp (floating_grid ~pad:false) in
+  let sys, u0 = stamp (floating_grid ~pad:false ()) in
   raises_ill_conditioned "operating_point" (fun () -> Dc.operating_point sys ~u0);
   raises_ill_conditioned "dc_gain" (fun () -> Dc.dc_gain sys);
   (* one pad to ground makes it well posed: no false alarm *)
-  let sys, u0 = stamp (floating_grid ~pad:true) in
+  let sys, u0 = stamp (floating_grid ~pad:true ()) in
   let x = Dc.operating_point sys ~u0 in
   let r =
     Vec.add (Opm_sparse.Csr.mul_vec sys.Descriptor.a x)
@@ -112,12 +112,40 @@ let test_dc_floating_grid () =
   in
   check_bool "grounded grid: A x = -B u0" true (Vec.norm_inf r < 1e-12)
 
+(* Conductances spanning 1e16 — a 1 mΩ pad, and a sense node hung on
+   two 10 TΩ leaks — make cond(A) exceed 1/ε although the circuit is
+   grounded and its solution exact; the row-equilibrated estimate the
+   refusal reads stays near 1e3. *)
+let test_dc_extreme_values_not_refused () =
+  let net = floating_grid ~pad_r:1e-3 ~pad:true () in
+  let node = Power_grid.node_name ~x:0 ~y:0 ~z:0 in
+  Netlist.add net (Netlist.r "Rleak1" node "sense" 1e13);
+  Netlist.add net (Netlist.r "Rleak2" "sense" "0" 1e13);
+  let sys, srcs = Mna.stamp_linear net in
+  let u0 = Array.map (fun s -> Source.eval s 0.0) srcs in
+  check_bool "cond(A) itself is past 1/eps" true
+    (Opm_sparse.Slu.cond_est (Opm_sparse.Slu.factor sys.Descriptor.a)
+     >= 1.0 /. epsilon_float);
+  let x = Dc.operating_point sys ~u0 in
+  let r =
+    Vec.add (Opm_sparse.Csr.mul_vec sys.Descriptor.a x)
+      (Mat.mul_vec sys.Descriptor.b u0)
+  in
+  check_bool "A x = -B u0" true (Vec.norm_inf r < 1e-12);
+  let names = Mna.state_names net in
+  let v name =
+    let rec find i = if names.(i) = "v(" ^ name ^ ")" then x.(i) else find (i + 1) in
+    find 0
+  in
+  check_bool "sense node halves its neighbour" true
+    (Float.abs (v "sense" -. (0.5 *. v node)) <= 1e-12 *. Float.abs (v node))
+
 (* the CLI maps the error to exit status 1 and prints no value *)
 let test_dc_floating_grid_cli () =
   let sp = Filename.temp_file "floating_grid" ".sp" in
   let out = Filename.temp_file "floating_grid" ".out" in
   Out_channel.with_open_text sp (fun oc ->
-      output_string oc (Netlist.to_string (floating_grid ~pad:false)));
+      output_string oc (Netlist.to_string (floating_grid ~pad:false ())));
   let code =
     Sys.command
       (Filename.quote_command "../bin/opm_sim.exe"
@@ -368,6 +396,7 @@ let () =
           t "vccs transresistance" test_dc_vccs_transresistance;
           t "floating grid refused" test_dc_floating_grid;
           t "floating grid cli exit 1" test_dc_floating_grid_cli;
+          t "extreme values not refused" test_dc_extreme_values_not_refused;
           t "u0 mismatch" test_dc_u0_mismatch;
         ] );
       ( "ac",

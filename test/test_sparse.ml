@@ -548,6 +548,35 @@ let test_matching_structurally_singular () =
       | exception Slu.Singular j -> check_int (name ^ " names the via unknown") k j)
     [ ("amd", `Amd); ("natural", `Natural) ]
 
+(* A voltage source's branch row has no diagonal in any pencil, so the
+   transient pencil 2/h·E − A of an 80-section RC ladder (n = 82) takes
+   the matching under every ordering *)
+let test_matching_voltage_source_pencil () =
+  let net =
+    Opm_circuit.Generators.rc_ladder ~sections:80
+      ~input:(Opm_signal.Source.Step { amplitude = 1.0; delay = 0.0 }) ()
+  in
+  let sys = fst (Opm_circuit.Mna.stamp_linear net) in
+  let a =
+    Csr.add ~alpha:(2.0 /. 1e-6) ~beta:(-1.0) sys.Opm_core.Descriptor.e
+      sys.Opm_core.Descriptor.a
+  in
+  let n, _ = Csr.dims a in
+  check_int "source branch rows without a diagonal" 1
+    (List.length (diagonal_free_rows a));
+  let lu = Lu.factor (Csr.to_dense a) in
+  let b = Array.init n (fun i -> sin (float_of_int (i + 1))) in
+  List.iter
+    (fun (name, ord) ->
+      let s, f = Slu.analyze ~ordering:ord a in
+      check_bool (name ^ ": solve = dense LU to 1e-10") true
+        (rel_diff (Slu.solve f b) (Lu.solve lu b) < 1e-10);
+      check_bool (name ^ ": solve_transpose = dense LU to 1e-10") true
+        (rel_diff (Slu.solve_transpose f b) (Lu.solve_transpose lu b) < 1e-10);
+      check_bool (name ^ ": refactor bit for bit") true
+        (Slu.solve (Slu.refactor s a) b = Slu.solve f b))
+    [ ("amd", `Amd); ("rcm", `Rcm); ("natural", `Natural) ]
+
 (* Bigarray-backed storage must agree with the array-backed ops to the
    last bit *)
 
@@ -692,6 +721,7 @@ let () =
           t "dc grid: refactor bit-identical"
             test_matching_refactor_bit_identical;
           t "structurally singular named" test_matching_structurally_singular;
+          t "voltage-source pencil vs dense" test_matching_voltage_source_pencil;
         ] );
       ( "bcsr",
         [
