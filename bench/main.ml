@@ -105,6 +105,24 @@ let timed ?(runs = 3) f =
   done;
   match !result with Some r -> (!best, r) | None -> assert false
 
+(* minimum wall of [f] and of [g] over [rounds] interleaved single runs,
+   alternating which goes first: preemption and GC pauses only ever add
+   time, and the interleave gives both the same shot at quiet slots *)
+let min_interleaved ~rounds f g =
+  let tf = ref infinity and tg = ref infinity in
+  let run t h = t := Float.min !t (fst (wall h)) in
+  for r = 0 to rounds - 1 do
+    if r land 1 = 0 then begin
+      run tf f;
+      run tg g
+    end
+    else begin
+      run tg g;
+      run tf f
+    end
+  done;
+  (!tf, !tg)
+
 let pp_time seconds =
   if seconds < 1e-3 then Printf.sprintf "%.1f µs" (seconds *. 1e6)
   else if seconds < 1.0 then Printf.sprintf "%.2f ms" (seconds *. 1e3)
@@ -208,6 +226,21 @@ let with_slu_counts f =
 let slu_extra ~pencils ~reuse =
   [ ("pencils", Json.Int pencils); ("symbolic_reuse", Json.Int reuse) ]
 
+(* the factor split of a row's pencil: [analyze_s] (symbolic analysis
+   with its numeric factor) and [refactor_s] (numeric replay), each the
+   minimum of 5 runs with the two interleaved, alternating which goes
+   first; validate.ml requires analyze_s / refactor_s <= 6. Run outside
+   [with_slu_counts], whose reuse contract counts the method's own
+   factorisations only. *)
+let factor_split lhs =
+  let s, _ = Slu.analyze lhs in
+  let analyze_s, refactor_s =
+    min_interleaved ~rounds:5
+      (fun () -> Slu.analyze lhs)
+      (fun () -> Slu.refactor s lhs)
+  in
+  [ ("analyze_s", Json.Float analyze_s); ("refactor_s", Json.Float refactor_s) ]
+
 let table2 cli =
   let spec =
     {
@@ -237,6 +270,20 @@ let table2 cli =
   let mna_sys, mna_srcs = Mna.stamp_linear ~outputs:probe net in
   let t_end = 1e-9 in
   let h0 = 10e-12 in
+  (* the iteration matrices of each row: c/h·E − β·A for the steppers,
+     Σ_k (2/h)^α_k·E_k − A (the block-pulse diagonal) for OPM *)
+  let mna_pencil ~c ~beta h =
+    Csr.add ~alpha:(c /. h) ~beta:(-.beta) mna_sys.Descriptor.e
+      mna_sys.Descriptor.a
+  in
+  let na_pencil h =
+    List.fold_left
+      (fun acc t ->
+        Csr.add ~alpha:1.0 ~beta:((2.0 /. h) ** t.Multi_term.alpha) acc
+          t.Multi_term.coeff)
+      (Csr.scale (-1.0) na_sys.Multi_term.a)
+      na_sys.Multi_term.terms
+  in
   (* one symbolic analysis serves every classical-method iteration
      matrix of the whole table: the stepper pencils all carry the E/A
      union sparsity pattern, so everything after the reference run is a
@@ -266,7 +313,9 @@ let table2 cli =
       (Printf.sprintf "%g ps" (h *. 1e12))
       (pp_time t) (err w) paper;
     add_row
-      ~extra:(slu_extra ~pencils ~reuse)
+      ~extra:
+        (slu_extra ~pencils ~reuse
+        @ factor_split (mna_pencil ~c:1.0 ~beta:1.0 h))
       ~method_:(Printf.sprintf "b-euler@%gps" (h *. 1e12))
       ~n:n_mna ~m:(steps_of h) ~wall_s:t ~error_db:(err w) ();
     (t, err w)
@@ -284,7 +333,9 @@ let table2 cli =
   Printf.printf "%-12s %-8s %12s %18.1f   %s\n" "Gear" "10 ps" (pp_time t_gear)
     e_gear "359.1 s / -134 dB";
   add_row
-    ~extra:(slu_extra ~pencils:pencils_gear ~reuse:reuse_gear)
+    ~extra:
+      (slu_extra ~pencils:pencils_gear ~reuse:reuse_gear
+      @ factor_split (mna_pencil ~c:1.5 ~beta:1.0 h0))
     ~method_:"gear" ~n:n_mna ~m:(steps_of h0) ~wall_s:t_gear ~error_db:e_gear ();
   let (t_trap, w_trap), pencils_trap, reuse_trap =
     with_slu_counts (fun () ->
@@ -296,7 +347,9 @@ let table2 cli =
   Printf.printf "%-12s %-8s %12s %18.1f   %s\n" "Trapezoidal" "10 ps"
     (pp_time t_trap) e_trap "347.2 s / -137 dB";
   add_row
-    ~extra:(slu_extra ~pencils:pencils_trap ~reuse:reuse_trap)
+    ~extra:
+      (slu_extra ~pencils:pencils_trap ~reuse:reuse_trap
+      @ factor_split (mna_pencil ~c:1.0 ~beta:0.5 h0))
     ~method_:"trap" ~n:n_mna ~m:(steps_of h0) ~wall_s:t_trap ~error_db:e_trap ();
   let m = int_of_float (Float.round (t_end /. h0)) in
   let (t_opm, r_opm), pencils_opm, reuse_opm =
@@ -309,7 +362,9 @@ let table2 cli =
   Printf.printf "%-12s %-8s %12s %18.1f   %s\n" "OPM (NA)" "10 ps"
     (pp_time t_opm) e_opm "314.6 s / --";
   add_row
-    ~extra:(slu_extra ~pencils:pencils_opm ~reuse:reuse_opm)
+    ~extra:
+      (slu_extra ~pencils:pencils_opm ~reuse:reuse_opm
+      @ factor_split (na_pencil (t_end /. float_of_int m)))
     ~method_:"opm-na" ~n:(Multi_term.order na_sys) ~m ~wall_s:t_opm
     ~error_db:e_opm ();
   (* adaptive grid with pairwise-distinct steps: ⌈m⌉ distinct pencils,
@@ -333,20 +388,19 @@ let table2 cli =
     (pp_time t_j) e_j
     (Printf.sprintf "(%d pencils, %d reused)" pencils_j reuse_j);
   add_row
-    ~extra:(slu_extra ~pencils:pencils_j ~reuse:reuse_j)
+    ~extra:
+      (slu_extra ~pencils:pencils_j ~reuse:reuse_j
+      @ factor_split (na_pencil steps_j.(0)))
     ~method_:"opm-na-adaptive" ~n:(Multi_term.order na_sys) ~m:m_jitter
     ~wall_s:t_j ~error_db:e_j ();
   (* domain-sharded batched back-solves on the backward-Euler factors;
      the accuracy cell is the agreement with the sequential map, clamped
      at −300 dB (= bit-identical) *)
   let nb = 32 in
+  let lhs_b = mna_pencil ~c:1.0 ~beta:1.0 h0 in
   let (t_batch, db_batch), pencils_b, reuse_b =
     with_slu_counts (fun () ->
-        let lhs =
-          Csr.add ~alpha:(1.0 /. h0) ~beta:(-1.0) mna_sys.Descriptor.e
-            mna_sys.Descriptor.a
-        in
-        let f = Slu.factor lhs in
+        let f = Slu.factor lhs_b in
         let bs =
           Array.init nb (fun j ->
               Array.init n_mna (fun i ->
@@ -365,7 +419,7 @@ let table2 cli =
     (Printf.sprintf "%d rhs" nb)
     (pp_time t_batch) db_batch "(vs sequential map; -300 = bit-equal)";
   add_row
-    ~extra:(slu_extra ~pencils:pencils_b ~reuse:reuse_b)
+    ~extra:(slu_extra ~pencils:pencils_b ~reuse:reuse_b @ factor_split lhs_b)
     ~method_:"backsolve-batch" ~n:n_mna ~m:nb ~wall_s:t_batch
     ~error_db:db_batch ();
   flush_json ~table:"table2" ~default_file:"BENCH_table2.json";
@@ -989,32 +1043,15 @@ let resilience () =
     Fault.disarm ()
   in
   let rounds = if !smoke_mode then 40 else 400 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   kernel_off ();
   kernel_on ();
-  (* scheduler preemption and GC pauses only ever *add* time, so the
-     minimum over many interleaved single solves is the robust
+  (* the minimum over many interleaved single solves is the robust
      per-variant floor (~1.5 ms/solve against a µs clock). Batch means
      and medians of pair ratios both carry a noise floor above the 2%
      budget itself on a loaded machine; one clean solve per variant is
-     enough and the interleave guarantees both variants get the same
-     shot at quiet slots *)
-  let t_off = ref Float.infinity and t_on = ref Float.infinity in
-  for r = 0 to rounds - 1 do
-    if r land 1 = 0 then begin
-      t_off := Float.min !t_off (timed kernel_off);
-      t_on := Float.min !t_on (timed kernel_on)
-    end
-    else begin
-      t_on := Float.min !t_on (timed kernel_on);
-      t_off := Float.min !t_off (timed kernel_off)
-    end
-  done;
-  let overhead = (!t_on /. !t_off) -. 1.0 in
+     enough *)
+  let t_off, t_on = min_interleaved ~rounds kernel_off kernel_on in
+  let overhead = (t_on /. t_off) -. 1.0 in
   let holds = overhead < 0.02 in
   Printf.printf
     "\ndisabled-path overhead: min-ratio %+.2f%% armed-inert vs off (budget \
@@ -1755,16 +1792,18 @@ let basis_bench () =
   let spectral_ms =
     if !smoke_mode then [ 8; 16; 24; 32 ] else [ 8; 16; 24; 32; 48; 64 ]
   in
+  let spectral_run m () =
+    let sp = Spectral_solver.compile ~grid:(Grid.uniform ~t_end ~m) mt in
+    let z = Spectral_solver.solve_nodal sp smooth in
+    Mat.mul mt.Multi_term.c (Spectral_solver.sample sp z fine_times)
+  in
+  let bpf_run m () =
+    Opm.simulate_multi_term ~grid:(Grid.uniform ~t_end ~m) mt smooth
+  in
   let spectral_rows =
     List.map
       (fun m ->
-        let grid = Grid.uniform ~t_end ~m in
-        let wall_s, y =
-          timed (fun () ->
-              let sp = Spectral_solver.compile ~grid mt in
-              let z = Spectral_solver.solve_nodal sp smooth in
-              Mat.mul mt.Multi_term.c (Spectral_solver.sample sp z fine_times))
-        in
+        let wall_s, y = timed (spectral_run m) in
         let err = rel_err y_ref_fine y in
         Printf.printf "%-16s %6d  %12s  %10.1f\n" "opm-spectral" m
           (pp_time wall_s) err;
@@ -1782,9 +1821,7 @@ let basis_bench () =
       (fun m ->
         let grid = Grid.uniform ~t_end ~m in
         let runs = if m >= 2048 then 1 else 3 in
-        let wall_s, res =
-          timed ~runs (fun () -> Opm.simulate_multi_term ~grid mt smooth)
-        in
+        let wall_s, res = timed ~runs (bpf_run m) in
         let y = Mat.mul mt.Multi_term.c res.Sim_result.x in
         let err = rel_err (y_at (Grid.midpoints grid)) y in
         Printf.printf "%-16s %6d  %12s  %10.1f\n" "opm-bpf" m (pp_time wall_s)
@@ -1824,14 +1861,20 @@ let basis_bench () =
   rule ();
   (* crossover: smallest spectral m (<= 64) at or below the error of the
      largest BPF run *)
-  let bpf_m, bpf_wall, bpf_err = List.hd (List.rev bpf_rows) in
+  let bpf_m, _, bpf_err = List.hd (List.rev bpf_rows) in
   let crossing =
     List.filter (fun (m, _, e) -> m <= 64 && e <= bpf_err) spectral_rows
   in
-  let holds, (cm, cwall, cerr) =
+  let holds, (cm, _, cerr) =
     match crossing with
     | [] -> (false, List.hd (List.rev spectral_rows))
     | best :: _ -> (true, best)
+  in
+  (* the chosen pair is re-timed as min-of-interleaved single runs: the
+     row timings above are best-of-3 batches taken apart, which a loaded
+     machine skews either way *)
+  let cwall, bpf_wall =
+    min_interleaved ~rounds:20 (spectral_run cm) (bpf_run bpf_m)
   in
   let speedup = bpf_wall /. cwall in
   Printf.printf

@@ -20,6 +20,9 @@
    - table-specific contracts: in the "rhs-conv" table every "rhs-fft"
      row must satisfy [error_db <= -200.0] (the 1e-10 relative
      agreement contract between the FFT and naive history paths);
+   - every "table2" row carries [pencils] and [symbolic_reuse] with
+     reuse >= pencils - 1, and finite, strictly positive [analyze_s]
+     and [refactor_s] for its pencil with analyze_s / refactor_s <= 6;
    - the "resilience" table (BENCH_resilience.json) additionally
      requires a string [outcome] per row drawn from the closed set of
      acceptable results — {recovered, structured-error, no-fire,
@@ -141,7 +144,22 @@ let validate file =
           fail
             "row %d (%s): symbolic_reuse %d < pencils %d - 1 (a sparsity \
              structure must pay its symbolic analysis exactly once)"
-            i method_ reuse pencils
+            i method_ reuse pencils;
+        (* factor-split contract: the symbolic analysis may cost at most
+           6 numeric refactorisations of the same pencil (one DFS edge per
+           flop; the polymorphic DFS read 8-10x) *)
+        let positive name =
+          let v = finite name in
+          if v <= 0.0 then
+            fail "row %d (%s): %s is not positive" i method_ name;
+          v
+        in
+        let ratio = positive "analyze_s" /. positive "refactor_s" in
+        if ratio > 6.0 then
+          fail
+            "row %d (%s): analyze_s / refactor_s = %.2f exceeds 6 (symbolic \
+             analysis should cost about one numeric factor)"
+            i method_ ratio
       end;
       (* basis-selection contracts: every row names its basis; the
          crossover row carries the headline claim (spectral reaches the

@@ -27,7 +27,9 @@ let getf (a : float_ba) k : float = Ba.Array1.unsafe_get a k
 
 (* growable Bigarray buffer: the fill pattern is unknown up front, so
    factor columns are appended here and trimmed to exact size at the
-   end; the payload never touches the OCaml heap *)
+   end; the payload never touches the OCaml heap. Growth and trimming
+   are cold and kind-generic; the pushes are one per factor entry, so
+   each is typed to its kind and compiles to an unboxed store. *)
 module Gbuf = struct
   type ('a, 'b) t = {
     mutable ba : ('a, 'b, Ba.c_layout) Ba.Array1.t;
@@ -36,13 +38,19 @@ module Gbuf = struct
 
   let create kind = { ba = Ba.Array1.create kind Ba.c_layout 256; len = 0 }
 
-  let push b v =
+  let grow b =
     let cap = Ba.Array1.dim b.ba in
-    if b.len >= cap then begin
-      let nba = Ba.Array1.create (Ba.Array1.kind b.ba) Ba.c_layout (2 * cap) in
-      Ba.Array1.blit b.ba (Ba.Array1.sub nba 0 cap);
-      b.ba <- nba
-    end;
+    let nba = Ba.Array1.create (Ba.Array1.kind b.ba) Ba.c_layout (2 * cap) in
+    Ba.Array1.blit b.ba (Ba.Array1.sub nba 0 cap);
+    b.ba <- nba
+
+  let[@inline] push_int (b : (int32, Ba.int32_elt) t) v =
+    if b.len >= Ba.Array1.dim b.ba then grow b;
+    Ba.Array1.unsafe_set b.ba b.len (Int32.of_int v);
+    b.len <- b.len + 1
+
+  let[@inline] push_float (b : (float, Ba.float64_elt) t) (v : float) =
+    if b.len >= Ba.Array1.dim b.ba then grow b;
     Ba.Array1.unsafe_set b.ba b.len v;
     b.len <- b.len + 1
 
@@ -106,39 +114,74 @@ let resolve_ordering ordering n =
   | `Auto -> if n > 512 then `Amd else `Rcm
   | (`Amd | `Rcm | `Natural) as o -> o
 
+(* start of the L column a DFS walks from [v]: empty unless pivotal *)
+let[@inline] first_child ~(pinv : int array) ~(l_ptr : int array) v =
+  let k = pinv.(v) in
+  if k >= 0 then l_ptr.(k) else 0
+
 (* depth-first search from [start] through the columns of L restricted
    to pivotal rows; emits vertices in post-order onto [stack]. The
-   explicit vertex/cursor stacks avoid recursion and allocation. *)
-let reach ~pinv ~l_ptr ~(l_idx : int_ba) ~marked ~mark ~stack ~top ~dfs_v
-    ~dfs_c start =
+   explicit vertex/cursor stacks avoid recursion and allocation; the
+   cursor is an absolute index into [l_idx]. As in CSparse's cs_dfs, an
+   inner loop steps over children already reached, so each edge costs
+   one typed load and compare. Every parameter is annotated: left
+   polymorphic, the mark test compiles to a [caml_notequal] call. *)
+
+let reach ~(pinv : int array) ~(l_ptr : int array) ~(l_idx : int_ba)
+    ~(marked : int array) ~(mark : int) ~(stack : int array) ~top
+    ~(dfs_v : int array) ~(dfs_c : int array) start =
   if marked.(start) <> mark then begin
     marked.(start) <- mark;
     dfs_v.(0) <- start;
-    dfs_c.(0) <- 0;
+    dfs_c.(0) <- first_child ~pinv ~l_ptr start;
     let depth = ref 0 in
     while !depth >= 0 do
-      let v = dfs_v.(!depth) in
+      let d = !depth in
+      let v = dfs_v.(d) in
       let k = pinv.(v) in
-      let base = if k >= 0 then l_ptr.(k) else 0 in
       let lim = if k >= 0 then l_ptr.(k + 1) else 0 in
-      let c = dfs_c.(!depth) in
-      if base + c < lim then begin
-        let child = geti l_idx (base + c) in
-        dfs_c.(!depth) <- c + 1;
-        if marked.(child) <> mark then begin
-          marked.(child) <- mark;
-          incr depth;
-          dfs_v.(!depth) <- child;
-          dfs_c.(!depth) <- 0
-        end
+      let p = ref dfs_c.(d) in
+      while !p < lim && marked.(geti l_idx !p) = mark do incr p done;
+      if !p < lim then begin
+        let child = geti l_idx !p in
+        dfs_c.(d) <- !p + 1;
+        marked.(child) <- mark;
+        depth := d + 1;
+        dfs_v.(d + 1) <- child;
+        dfs_c.(d + 1) <- first_child ~pinv ~l_ptr child
       end
       else begin
         stack.(!top) <- v;
         incr top;
-        decr depth
+        depth := d - 1
       end
     done
   end
+
+(* in-place ascending heapsort of [a.(0 .. len-1)], typed to [int] so
+   each comparison is one instruction *)
+let rec sift_down (a : int array) root last =
+  let c = (2 * root) + 1 in
+  if c <= last then begin
+    let c = if c < last && a.(c + 1) > a.(c) then c + 1 else c in
+    let v = a.(root) in
+    if a.(c) > v then begin
+      a.(root) <- a.(c);
+      a.(c) <- v;
+      sift_down a c last
+    end
+  end
+
+let sort_prefix (a : int array) len =
+  for i = (len / 2) - 1 downto 0 do
+    sift_down a i (len - 1)
+  done;
+  for last = len - 1 downto 1 do
+    let v = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- v;
+    sift_down a 0 (last - 1)
+  done
 
 (* Zero-free-diagonal row matching (Duff's maximum transversal after
    CSparse's cs_maxtrans, explicit stacks): [Some q] with (q(j), j) in A
@@ -313,7 +356,7 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
       let v = stack.(s) in
       let k = pinv.(v) in
       if k >= 0 then begin
-        Gbuf.push eb (Int32.of_int k);
+        Gbuf.push_int eb k;
         let xv = x.(v) in
         if xv <> 0.0 then
           for t = l_ptr.(k) to l_ptr.(k + 1) - 1 do
@@ -358,19 +401,18 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
     for s = 0 to count - 1 do
       let v = stack.(s) in
       if pinv.(v) < 0 && v <> pivot_row then begin
-        Gbuf.push lb_idx (Int32.of_int v);
-        Gbuf.push lb_val (x.(v) /. piv)
+        Gbuf.push_int lb_idx v;
+        Gbuf.push_float lb_val (x.(v) /. piv)
       end
     done;
     (* U column: pivotal entries sorted by position, diagonal last *)
-    let upos = Array.sub u_pos 0 !ucount in
-    Array.sort compare upos;
+    sort_prefix u_pos !ucount;
     for t = 0 to !ucount - 1 do
-      Gbuf.push ub_idx (Int32.of_int upos.(t));
-      Gbuf.push ub_val x.(perm.(upos.(t)))
+      Gbuf.push_int ub_idx u_pos.(t);
+      Gbuf.push_float ub_val x.(perm.(u_pos.(t)))
     done;
-    Gbuf.push ub_idx (Int32.of_int j);
-    Gbuf.push ub_val piv;
+    Gbuf.push_int ub_idx j;
+    Gbuf.push_float ub_val piv;
     for s = 0 to count - 1 do
       x.(stack.(s)) <- 0.0
     done;
@@ -676,6 +718,7 @@ let solve_transpose_inner f b =
 let solve_transpose f b =
   if Array.length b <> f.s.sn then
     invalid_arg "Slu.solve_transpose: dimension mismatch";
+  Metrics.incr m_solve;
   permuted solve_transpose_inner ~rin:f.s.sym ~cout:f.s.rsym f b
 
 let cond_est f =

@@ -130,7 +130,8 @@ val solve_many : ?pool:Opm_parallel.Pool.t -> t -> Vec.t array -> Vec.t array
     bit-identical to [Array.map (solve f)] in any pool size. *)
 
 val solve_transpose : t -> Vec.t -> Vec.t
-(** Solve [Aᵀ x = b] from the same factors (needed by {!cond_est}). *)
+(** Solve [Aᵀ x = b] from the same factors (needed by {!cond_est}).
+    Counted in [slu.solve] like {!solve}. *)
 
 val cond_est : t -> float
 (** Hager/Higham 1-norm condition estimate [‖A‖₁ · est(‖A⁻¹‖₁)] — a

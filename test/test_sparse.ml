@@ -463,10 +463,10 @@ let test_solve_many_matches_map () =
 
 (* ---------- zero-free-diagonal row matching ---------- *)
 
-(* The DC pencil A of a 12×12×2 grid grounded through pad resistors:
+(* A 12×12×2 grid grounded through pad resistors. Its DC pencil A has
    n = 432, of which 144 inductive-via current rows (v_a − v_b = 0)
    carry no diagonal entry. *)
-let dc_grid_pencil () =
+let padded_grid_system () =
   let nx = 12 and ny = 12 in
   let spec = { Opm_circuit.Power_grid.default_spec with nx; ny; nz = 2 } in
   let net = Opm_circuit.Power_grid.generate spec in
@@ -480,7 +480,9 @@ let dc_grid_pencil () =
              "0" 0.05)
     done
   done;
-  (fst (Opm_circuit.Mna.stamp_linear net)).Opm_core.Descriptor.a
+  fst (Opm_circuit.Mna.stamp_linear net)
+
+let dc_grid_pencil () = (padded_grid_system ()).Opm_core.Descriptor.a
 
 let diagonal_free_rows a =
   let n, _ = Csr.dims a in
@@ -576,6 +578,86 @@ let test_matching_voltage_source_pencil () =
       check_bool (name ^ ": refactor bit for bit") true
         (Slu.solve (Slu.refactor s a) b = Slu.solve f b))
     [ ("amd", `Amd); ("rcm", `Rcm); ("natural", `Natural) ]
+
+(* ---------- bit patterns and counters ---------- *)
+
+(* 64-bit FNV-1a over the IEEE bits of every entry *)
+let fnv_floats xs =
+  Array.fold_left
+    (fun h x ->
+      let bits = Int64.bits_of_float x in
+      let h = ref h in
+      for byte = 0 to 7 do
+        let b =
+          Int64.logand (Int64.shift_right_logical bits (8 * byte)) 0xffL
+        in
+        h := Int64.mul (Int64.logxor !h b) 0x100000001b3L
+      done;
+      !h)
+    0xcbf29ce484222325L xs
+
+(* The analysis must keep its DFS post-order, pivots, L/U patterns and
+   elimination schedule exactly: any change there reorders floating-point
+   sums and moves these hashes. The constants were recorded with the
+   polymorphic DFS that the typed one replaced. Pencils: the padded
+   12×12×2 grid's transient 2/h·E − A (full diagonal, no matching) and
+   its DC matrix A (144 via rows without a diagonal, so the row-matching
+   path). *)
+let test_solve_bits_pinned () =
+  let sys = padded_grid_system () in
+  let e = sys.Opm_core.Descriptor.e and a = sys.Opm_core.Descriptor.a in
+  let n, _ = Csr.dims a in
+  let st = Random.State.make [| 15 |] in
+  let b = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+  List.iter
+    (fun (name, pencil, expected) ->
+      let xs =
+        List.concat_map
+          (fun ord ->
+            let f = Slu.factor ~ordering:ord pencil in
+            [ Slu.solve f b; Slu.solve_transpose f b ])
+          [ `Amd; `Rcm ]
+      in
+      Alcotest.(check string)
+        (name ^ ": solve and solve_transpose bits (amd, rcm)")
+        expected
+        (Printf.sprintf "%016Lx" (fnv_floats (Array.concat xs))))
+    [
+      ("transient", Csr.add ~alpha:(2.0 /. 1e-11) ~beta:(-1.0) e a,
+       "c93ec4baa74af76e");
+      ("dc", a, "491a2e9cfa2baa75");
+    ]
+
+(* every back-solve counts once in [slu.solve], transposed ones too *)
+let test_solve_counter () =
+  let module M = Opm_obs.Metrics in
+  let was = M.enabled () in
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () -> M.set_enabled was) @@ fun () ->
+  let c = M.counter "slu.solve" in
+  let delta f =
+    let c0 = M.counter_value c in
+    f ();
+    M.counter_value c - c0
+  in
+  let a = grid_pencil 4 4 2 in
+  let n, _ = Csr.dims a in
+  let f = Slu.factor a in
+  let b = Array.init n (fun i -> sin (float_of_int (i + 1))) in
+  check_int "solve" 1 (delta (fun () -> ignore (Slu.solve f b)));
+  check_int "solve_transpose" 1
+    (delta (fun () -> ignore (Slu.solve_transpose f b)));
+  check_int "solve_many" 3
+    (delta (fun () -> ignore (Slu.solve_many f [| b; b; b |])));
+  (* the Hager iteration's solves, counted on the side *)
+  let calls = ref 0 and t_calls = ref 0 in
+  ignore
+    (Lu.inv_norm1_est ~n
+       ~solve:(fun v -> incr calls; Slu.solve f v)
+       ~solve_t:(fun v -> incr t_calls; Slu.solve_transpose f v));
+  check_bool "the estimate uses transposed solves" true (!t_calls > 0);
+  check_int "cond_est" (!calls + !t_calls)
+    (delta (fun () -> ignore (Slu.cond_est (Slu.factor a))))
 
 (* Bigarray-backed storage must agree with the array-backed ops to the
    last bit *)
@@ -722,6 +804,11 @@ let () =
             test_matching_refactor_bit_identical;
           t "structurally singular named" test_matching_structurally_singular;
           t "voltage-source pencil vs dense" test_matching_voltage_source_pencil;
+        ] );
+      ( "bits",
+        [
+          t "solve bits pinned on grid pencils" test_solve_bits_pinned;
+          t "solve counter" test_solve_counter;
         ] );
       ( "bcsr",
         [
